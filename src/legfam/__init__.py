@@ -11,7 +11,6 @@ from .bounds import (
     BoundReport,
     LogMagnitude,
     compute_A_B,
-    corollary2_bound,
     crossover_prime,
     guaranteed_j,
     gyarmati_bound,
@@ -65,7 +64,6 @@ __all__ = [
     "check_gauss",
     "check_weil",
     "compute_A_B",
-    "corollary2_bound",
     "count_irreducibles",
     "count_subfield_elements",
     "crossover_prime",

@@ -16,11 +16,10 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceededError
 from .lambertw import w0_from_log, w0_real
 from .ntheory import (
+    PRIMALITY_LIMIT,
     count_irreducibles,
     count_subfield_elements,
     is_prime,
@@ -37,7 +36,6 @@ __all__ = [
     "lemma4_bisection_root",
     "gyarmati_bound",
     "upper_bound",
-    "corollary2_bound",
     "crossover_prime",
     "make_report",
 ]
@@ -206,6 +204,12 @@ def lemma4_bisection_root(A: float, B: float, iterations: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def _gyarmati(n: int, k: int) -> tuple[float, float]:
+    # gyarmati_bound without the primality gate, for any integer n >= 2
+    c = 0.5 if k <= n ** 0.25 / (10.0 * math.log(n)) else 2.5
+    return min(float(n), 0.5 * (k - c) * math.log2(n)), c
+
+
 def gyarmati_bound(p: int, k: int) -> tuple[float, float]:
     """The older lower bound, as the pair (bound, c).
 
@@ -215,8 +219,7 @@ def gyarmati_bound(p: int, k: int) -> tuple[float, float]:
     small p at k = 1.
     """
     _validate_pk(p, k)
-    c = 0.5 if k <= p ** 0.25 / (10.0 * math.log(p)) else 2.5
-    return min(float(p), 0.5 * (k - c) * math.log2(p)), c
+    return _gyarmati(p, k)
 
 
 def upper_bound(p: int, k: int) -> float:
@@ -226,52 +229,42 @@ def upper_bound(p: int, k: int) -> float:
     return log2_of_big(count_irreducibles(p, k))
 
 
-def corollary2_bound(p: int, K: int) -> float:
-    """Lower bound for the larger family of all squarefree polynomials of
-    degree up to K: it contains the degree-K irreducible family, so the
-    same value transfers verbatim."""
-    return theorem1_bound(p, K)
-
-
-_SCAN_CHUNK = 1 << 21
-
-
 def crossover_prime(k: int, p_limit: int = 2 ** 32) -> int:
     """Smallest odd prime p <= p_limit whose gyarmati_bound is positive.
 
-    Positivity only depends on k > c, so the scan hunts for the first odd
-    integer admitted by the c = 1/2 threshold (for k <= 2; for k >= 3 even
-    c = 5/2 works and the answer is 3). The threshold comparison is done
-    in numpy chunks because for k = 1 the first admitted integer sits near
-    2.13e9; a Miller-Rabin walk then finds the first prime from there.
-    The walk re-evaluates gyarmati_bound directly, so the returned prime
-    satisfies the public predicate, not just the vectorized shortcut.
+    The bound is positive exactly when k > c. For k >= 3 even c = 5/2
+    passes and the answer is 3. For k = 1, 2 it takes c = 1/2, i.e.
+    k <= f(n) = n^(1/4) / (10 ln n). f falls on [3, e^4], where it stays
+    below 0.13 < k, and rises from e^4 on, so the predicate is false on
+    [3, n*) and true from some n* on. Bisection over the odd n in
+    [3, p_limit] on that same float predicate finds n* (near n*, f moves
+    by a relative 5e-12 or more per step of 2, far above rounding), and a
+    Miller-Rabin walk up from n* finds the first prime.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    lo = 3
-    while lo <= p_limit:
-        hi = min(lo + 2 * _SCAN_CHUNK, p_limit + 1)
-        arr = np.arange(lo, hi, 2, dtype=np.float64)
-        c = np.where(arr ** 0.25 >= 10.0 * k * np.log(arr), 0.5, 2.5)
-        positive = c < k
-        if positive.any():
-            first = int(arr[int(np.argmax(positive))])
-            for n in range(first, p_limit + 1, 2):
-                if gyarmati_bound_unchecked(n, k) > 0.0 and is_prime(n):
-                    return n
-            break
-        lo = hi if hi % 2 == 1 else hi + 1
+
+    def positive(n: int) -> bool:
+        return _gyarmati(n, k)[0] > 0.0
+
+    # no prime can be certified from PRIMALITY_LIMIT on; capping there also
+    # keeps n ** 0.25 inside float range for any p_limit
+    limit = min(p_limit, PRIMALITY_LIMIT - 1)
+    lo, hi = 1, limit - 1 + limit % 2  # odd; hi is the largest odd n <= limit
+    if hi >= 3 and positive(hi):
+        # invariant: the predicate fails at every odd n in [3, lo], holds at hi
+        while hi - lo > 2:
+            mid = (lo + hi) // 2 | 1
+            if positive(mid):
+                hi = mid
+            else:
+                lo = mid
+        for n in range(hi, limit + 1, 2):
+            if is_prime(n):
+                return n
     raise BudgetExceededError(
         f"no odd prime at or below {p_limit} has a positive bound for k={k}"
     )
-
-
-def gyarmati_bound_unchecked(p: int, k: int) -> float:
-    """gyarmati_bound's value without the primality gate, for scan internals
-    that evaluate it at arbitrary odd integers."""
-    c = 0.5 if k <= p ** 0.25 / (10.0 * math.log(p)) else 2.5
-    return min(float(p), 0.5 * (k - c) * math.log2(p))
 
 
 def make_report(p: int, k: int) -> BoundReport:

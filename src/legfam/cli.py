@@ -143,8 +143,7 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
         lo = max(3, args.p_min)
         if args.p_max < lo:
             raise UsageError(f"--p-max must be >= {lo}")
-        primes = [q for q in primes_up_to(args.p_max) if q >= lo and q != 2]
-        return [(q, args.k) for q in primes], "p"
+        return [(q, args.k) for q in primes_up_to(args.p_max, lo)], "p"
     if args.p is None:
         raise UsageError("--p is required when ranging over k")
     if args.k is not None:

@@ -25,7 +25,6 @@ from .ntheory import is_prime
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
     "PolyModP",
-    "poly_eval",
     "is_irreducible",
     "enumerate_irreducibles",
     "ExtField",
@@ -130,6 +129,22 @@ def _pgcd(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return a
 
 
+def _id_digits(p: int, ident: int) -> tuple[int, ...]:
+    # base-p digits of an element id, lowest first: the coefficient tuple
+    digits = []
+    while ident:
+        ident, c = divmod(ident, p)
+        digits.append(c)
+    return tuple(digits)
+
+
+def _digits_id(p: int, coeffs: tuple[int, ...]) -> int:
+    ident = 0
+    for c in reversed(coeffs):
+        ident = ident * p + c
+    return ident
+
+
 def _poly_str(coeffs: tuple[int, ...]) -> str:
     if not coeffs:
         return "0"
@@ -224,11 +239,6 @@ class PolyModP:
         return f"PolyModP(p={self.p}, {_poly_str(self.coeffs)})"
 
 
-def poly_eval(f: PolyModP, x: int) -> int:
-    """f(x) mod p."""
-    return f.evaluate(x)
-
-
 def _prime_factors(k: int) -> list[int]:
     out = []
     d = 2
@@ -266,6 +276,14 @@ def is_irreducible(f: PolyModP) -> bool:
     return _rabin_irreducible(f.p, f.coeffs)
 
 
+def _monic_irreducibles(p: int, k: int) -> Iterator[tuple[int, ...]]:
+    # coefficient tuples (lowest first) in enumerate_irreducibles' order
+    for tail in itertools.product(range(p), repeat=k):
+        coeffs = tuple(reversed(tail)) + (1,)
+        if _rabin_irreducible(p, coeffs):
+            yield coeffs
+
+
 def enumerate_irreducibles(
     p: int, k: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[PolyModP]:
@@ -283,20 +301,7 @@ def enumerate_irreducibles(
             f"enumerating degree-{k} polynomials over F_{p} needs {p ** k} "
             f"candidates, budget is {budget}"
         )
-    found = []
-    for tail in itertools.product(range(p), repeat=k):
-        coeffs = tuple(reversed(tail)) + (1,)
-        if _rabin_irreducible(p, coeffs):
-            found.append(PolyModP(p, coeffs))
-    return found
-
-
-def _first_irreducible(p: int, k: int) -> PolyModP:
-    for tail in itertools.product(range(p), repeat=k):
-        coeffs = tuple(reversed(tail)) + (1,)
-        if _rabin_irreducible(p, coeffs):
-            return PolyModP(p, coeffs)
-    raise AssertionError(f"no irreducible of degree {k} over F_{p} found")
+    return [PolyModP(p, coeffs) for coeffs in _monic_irreducibles(p, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +320,7 @@ class ExtField:
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         if modulus is None:
-            modulus = _first_irreducible(p, k)
+            modulus = PolyModP(p, next(_monic_irreducibles(p, k)))
         else:
             if modulus.p != p:
                 raise ValueError(f"modulus characteristic {modulus.p} != {p}")
@@ -350,17 +355,10 @@ class ExtField:
         """Element whose representative has base-p digit expansion `ident`."""
         if not 0 <= ident < self.size:
             raise ValueError(f"element id must lie in [0, {self.size}), got {ident}")
-        digits = []
-        while ident:
-            ident, c = divmod(ident, self.p)
-            digits.append(c)
-        return ExtFieldElement(self, PolyModP(self.p, tuple(digits)))
+        return ExtFieldElement(self, PolyModP(self.p, _id_digits(self.p, ident)))
 
     def element_id(self, a: "ExtFieldElement") -> int:
-        ident = 0
-        for c in reversed(a.rep.coeffs):
-            ident = ident * self.p + c
-        return ident
+        return _digits_id(self.p, a.rep.coeffs)
 
     def elements(
         self, budget: int = DEFAULT_ENUM_BUDGET
@@ -393,15 +391,12 @@ class ExtField:
             for a in range(1, self.p):
                 chi[a] = 1 if a in squares else -1
         else:
-            g = self._find_generator()
+            g = _id_digits(self.p, self._generator_id())
             cur: tuple[int, ...] = (1,)
             chi[1] = 1
             for i in range(1, n - 1):
                 cur = _pmod(self.p, _pmul(self.p, cur, g), self.modulus.coeffs)
-                ident = 0
-                for c in reversed(cur):
-                    ident = ident * self.p + c
-                chi[ident] = -1 if i & 1 else 1
+                chi[_digits_id(self.p, cur)] = -1 if i & 1 else 1
             assert int(np.count_nonzero(chi == 1)) == (n - 1) // 2
         self._chi = chi
         return chi
@@ -412,29 +407,17 @@ class ExtField:
         return self.from_id(self._generator_id())
 
     def _generator_id(self) -> int:
-        cand = self._find_generator()
-        ident = 0
-        for c in reversed(cand):
-            ident = ident * self.p + c
-        return ident
-
-    def _find_generator(self) -> tuple[int, ...]:
         # scan ids upward; for k >= 2 constants cannot generate (their order
         # divides p - 1), so the scan starts at id p, the element x
         n = self.size
         factors = _prime_factors(n - 1)
         for ident in range(2 if self.k == 1 else self.p, n):
-            digits = []
-            t = ident
-            while t:
-                t, c = divmod(t, self.p)
-                digits.append(c)
-            cand = tuple(digits)
+            cand = _id_digits(self.p, ident)
             if all(
                 _ppowmod(self.p, cand, (n - 1) // q, self.modulus.coeffs) != (1,)
                 for q in factors
             ):
-                return cand
+                return ident
         raise AssertionError(f"no generator found for F_{self.p}^{self.k}")
 
     def __eq__(self, other: object) -> bool:

@@ -7,6 +7,7 @@ Everything except log2_of_big is exact integer arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 __all__ = [
@@ -20,12 +21,20 @@ __all__ = [
     "log2_of_big",
 ]
 
-# Deterministic Miller-Rabin witness set; valid for every n < 3.3 * 10**24.
+# Deterministic Miller-Rabin witness set. PRIMALITY_LIMIT is the least
+# strong pseudoprime to all twelve bases (it fails base 43), so a number
+# below it that passes every base is prime.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIMALITY_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test.
+
+    A False verdict is exact at every size. A True verdict is certified
+    only below PRIMALITY_LIMIT; at or above it a number that passes every
+    base raises ValueError instead of being called prime.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -46,19 +55,28 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(
+            f"cannot certify {n} as prime: the Miller-Rabin test is "
+            f"deterministic only below {PRIMALITY_LIMIT}"
+        )
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, ascending (sieve of Eratosthenes)."""
-    if n < 2:
+def primes_up_to(n: int, lo: int = 2) -> list[int]:
+    """All primes p with lo <= p <= n, ascending (sieve of Eratosthenes).
+
+    Only the window [lo, n] is sieved, by the primes up to isqrt(n), so
+    memory is about n - lo + isqrt(n) bytes, not n.
+    """
+    lo = max(lo, 2)
+    if n < lo:
         return []
-    sieve = bytearray((1,)) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, n + 1, i)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    window = bytearray((1,)) * (n - lo + 1)
+    for q in primes_up_to(math.isqrt(n)):
+        start = max(q * q, -(-lo // q) * q) - lo
+        window[start::q] = bytearray(len(range(start, len(window), q)))
+    return list(itertools.compress(range(lo, n + 1), window))
 
 
 def mobius(m: int) -> int:

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from legfam.bounds import (
     compute_A_B,
-    corollary2_bound,
     crossover_prime,
     guaranteed_j,
     gyarmati_bound,
-    gyarmati_bound_unchecked,
     lemma4_bisection_root,
     lemma4_closed_form,
     make_report,
@@ -175,28 +173,31 @@ def test_upper_bound_values():
     assert upper_bound(5, 2) == pytest.approx(math.log2(10), abs=1e-12)
 
 
-def test_corollary2_equals_theorem1_on_grid():
-    for p in (3, 7, 23, 101):
-        for k in (1, 2, 5):
-            assert corollary2_bound(p, k) == theorem1_bound(p, k)
-
-
 def test_crossover_prime_small_k():
     assert crossover_prime(3) == 3
     assert crossover_prime(5) == 3
     assert crossover_prime(10) == 3
+    assert crossover_prime(3, p_limit=3) == 3
+    assert crossover_prime(3, p_limit=10 ** 400) == 3  # beyond float range
 
 
 def test_crossover_prime_budget():
     # k = 2 crosses far beyond this limit
     with pytest.raises(BudgetExceededError):
         crossover_prime(2, p_limit=10 ** 6)
+    with pytest.raises(BudgetExceededError):
+        crossover_prime(2)
+    with pytest.raises(BudgetExceededError):
+        crossover_prime(1, p_limit=2)
+    # the limit is inclusive: one below the k = 1 answer admits no prime
+    assert crossover_prime(1, p_limit=2128240847) == 2128240847
+    with pytest.raises(BudgetExceededError):
+        crossover_prime(1, p_limit=2128240846)
 
 
 def test_crossover_result_properties_k3():
     p = crossover_prime(3)
     assert gyarmati_bound(p, 3)[0] > 0.0
-    assert gyarmati_bound_unchecked(p, 3) > 0.0
 
 
 def test_log_domain_stability_against_naive_evaluation():

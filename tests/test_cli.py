@@ -4,6 +4,7 @@ import math
 import pytest
 
 from legfam.cli import CSV_HEADER, main
+from legfam.ntheory import is_prime
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +76,12 @@ def test_bound_rejects_composite_p(capsys):
     code, _, err = run_cli(capsys, "bound", "--p", "9", "--k", "1")
     assert code == 2
     assert "prime" in err
+    # a strong pseudoprime to every Miller-Rabin base the test uses
+    pseudo = "3317044064679887385961981"
+    code, _, err = run_cli(capsys, "bound", "--p", pseudo, "--k", "1")
+    assert code == 2
+    assert "prime" in err
+    assert run_cli(capsys, "scan", "--p", pseudo, "--k-max", "1")[0] == 2
 
 
 def test_scan_over_p_visits_odd_primes_only(capsys):
@@ -84,6 +91,12 @@ def test_scan_over_p_visits_odd_primes_only(capsys):
     assert lines[0] == CSV_HEADER
     ps = [int(line.split(",")[0]) for line in lines[1:]]
     assert ps == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # a far window is sieved on its own, not from 2 up
+    lo, hi = 2128240000, 2128241000
+    code, out, _ = run_cli(capsys, "scan", "--k", "1", "--p-min", str(lo), "--p-max", str(hi))
+    assert code == 0
+    ps = [int(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+    assert ps == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 def test_scan_over_k(capsys):

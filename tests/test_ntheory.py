@@ -25,6 +25,13 @@ def test_primes_up_to_matches_known_list():
     ]
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
+    assert primes_up_to(100, 50) == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+    assert primes_up_to(100, 97) == [97]
+    assert primes_up_to(96, 90) == []
+    assert primes_up_to(10, 20) == []
+    every = primes_up_to(10_000)
+    for lo in (0, 3, 4, 101, 7919, 9973, 10_000):
+        assert primes_up_to(10_000, lo) == [q for q in every if q >= lo], lo
 
 
 def test_is_prime_matches_sieve():
@@ -43,6 +50,20 @@ def test_is_prime_large_values():
     assert is_prime(2128240823)
     assert not is_prime(2128240847 * 2128240823)
     assert is_prime(2 ** 61 - 1)
+
+
+def test_is_prime_refuses_to_certify_past_the_deterministic_range():
+    # the least strong pseudoprime to all twelve bases: composite, and
+    # Miller-Rabin to those bases would call it prime
+    n = 3317044064679887385961981
+    assert pow(43, n - 1, n) != 1
+    with pytest.raises(ValueError, match="certify"):
+        is_prime(n)
+    with pytest.raises(ValueError, match="certify"):
+        is_prime(2 ** 127 - 1)
+    # a composite verdict stays exact at any size
+    assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
+    assert not is_prime(n + 2)
 
 
 def test_mobius_known_values():
