@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .bounds import (
+    BoundReport,
     crossover_prime,
     gyarmati_bound,
     make_report,
@@ -82,8 +83,7 @@ class ScanRow:
         )
 
 
-def _report_row(p: int, k: int, t_new_ns: int | None = None, t_gy_ns: int | None = None) -> ScanRow:
-    rep = make_report(p, k)
+def _report_row(rep: BoundReport, t_new_ns: int | None = None, t_gy_ns: int | None = None) -> ScanRow:
     return ScanRow(
         p=rep.p,
         k=rep.k,
@@ -158,7 +158,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     rep = make_report(args.p, args.k)
     if args.format == "csv":
         print(CSV_HEADER)
-        print(_report_row(args.p, args.k).csv())
+        print(_report_row(rep).csv())
         return EXIT_OK
     fields = {
         "p": rep.p,
@@ -183,7 +183,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cells, ranged = _grid_cells(args)
-    rows = [_report_row(p, k) for p, k in cells]
+    rows = [_report_row(make_report(p, k)) for p, k in cells]
     _emit_rows(rows, args.out)
     if args.gnuplot:
         if args.out is None:
@@ -211,7 +211,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         gyarmati_bound(p, k)
         t_new = _median_time_ns(lambda: theorem1_bound(p, k), args.reps)
         t_gy = _median_time_ns(lambda: gyarmati_bound(p, k), args.reps)
-        rows.append(_report_row(p, k, t_new_ns=t_new, t_gy_ns=t_gy))
+        rows.append(_report_row(make_report(p, k), t_new_ns=t_new, t_gy_ns=t_gy))
     _emit_rows(rows, args.out)
     if args.gnuplot:
         if args.out is None:

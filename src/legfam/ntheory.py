@@ -21,19 +21,39 @@ __all__ = [
     "log2_of_big",
 ]
 
-# Deterministic Miller-Rabin witness set. PRIMALITY_LIMIT is the least
-# strong pseudoprime to all twelve bases (it fails base 43), so a number
-# below it that passes every base is prime.
+# Deterministic Miller-Rabin. _MR_PSI[m - 1] is psi_m, the least strong
+# pseudoprime to the first m bases (OEIS A014233); psi_12 is the least one
+# to all twelve (it fails base 41), so it bounds what the test certifies.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-PRIMALITY_LIMIT = 3317044064679887385961981
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+PRIMALITY_LIMIT = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test.
 
+    The bases are the primes 2..37, tried in order. After the m-th base
+    passes, n is prime if n < psi_m, the least strong pseudoprime to the
+    first m prime bases (OEIS A014233; psi_12 from Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017), so the
+    test stops there: a 31-bit n needs four bases, not twelve.
+
     A False verdict is exact at every size. A True verdict is certified
-    only below PRIMALITY_LIMIT; at or above it a number that passes every
-    base raises ValueError instead of being called prime.
+    only below PRIMALITY_LIMIT = psi_12; at or above it a number that
+    passes every base raises ValueError instead of being called prime.
     """
     if n < 2:
         return False
@@ -45,22 +65,21 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= PRIMALITY_LIMIT:
-        raise ValueError(
-            f"cannot certify {n} as prime: the Miller-Rabin test is "
-            f"deterministic only below {PRIMALITY_LIMIT}"
-        )
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise ValueError(
+        f"cannot certify {n} as prime: the Miller-Rabin test is "
+        f"deterministic only below {PRIMALITY_LIMIT}"
+    )
 
 
 def primes_up_to(n: int, lo: int = 2) -> list[int]:
@@ -143,27 +162,32 @@ def is_prime_power(q: int) -> tuple[int, int] | None:
 def count_irreducibles(q: int, n: int) -> int:
     """Number of monic irreducible polynomials of degree n over F_q.
 
-    Computed exactly from the divisor sum (1/n) * sum_{d | n} mu(d) * q^(n/d).
-    The sum is always divisible by n; this is asserted rather than assumed.
+    The elements of F_{q^n} outside every proper subfield are the roots of
+    the degree-n monic irreducibles, n apiece, so the count is
+    (q^n - count_subfield_elements(q, n)) / n. The difference is always
+    divisible by n; this is asserted rather than assumed.
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    if is_prime_power(q) is None:
-        raise ValueError(f"field order must be a prime power, got {q}")
-    total = sum(mobius(d) * q ** (n // d) for d in divisors(n))
+    subfield = count_subfield_elements(q, n)  # validates q and n first
+    total = q ** n - subfield
     count, rem = divmod(total, n)
-    assert rem == 0, f"divisor sum {total} not divisible by n={n}"
+    assert rem == 0, f"q^n - |G| = {total} not divisible by n={n}"
     return count
 
 
 def count_subfield_elements(q: int, n: int) -> int:
     """Number of elements of F_{q^n} that lie in some proper subfield.
 
-    The elements of exact degree n are precisely the roots of the monic
-    irreducibles of degree n, so the count is q^n - n * count_irreducibles(q, n).
+    By Moebius inversion of q^n = sum_{d | n} d * I_q(d) the count is
+    |G| = -sum_{d | n, d > 1} mu(d) * q^(n/d), taken over the squarefree d
+    only (mu vanishes elsewhere). Its largest term is q^(n/2) (or q^(n/r)
+    for the least prime r dividing n), so q^n itself is never built.
     Exact for any size; the result can be thousands of bits long.
     """
-    return q ** n - n * count_irreducibles(q, n)
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    if is_prime_power(q) is None:
+        raise ValueError(f"field order must be a prime power, got {q}")
+    return -sum(mu * q ** (n // d) for d in divisors(n)[1:] if (mu := mobius(d)))
 
 
 def log2_of_big(x: int) -> float:

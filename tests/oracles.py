@@ -209,3 +209,29 @@ def sieve_irreducible_counts(q: int, n_max: int) -> list[int]:
                 for g in monic[m]:
                     composite.add(poly_mul(f, g))
     return counts
+
+
+def subfield_count_by_recursion(q: int, n: int) -> tuple[int, int]:
+    """(|G|, I_q(n)) for F_{q^n} without any Moebius function.
+
+    The exact-degree counts follow from q^e = sum_{f | e} f * I(f) by
+    recursion, e * I(e) = q^e - sum_{f | e, f < e} f * I(f), over the
+    divisors of n in ascending order; then |G| = sum_{d | n, d < n} d * I(d).
+    """
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    exact: dict[int, int] = {}
+    for e in divs:
+        rest = q ** e - sum(f * exact[f] for f in divs if f < e and e % f == 0)
+        exact[e], rem = divmod(rest, e)
+        assert rem == 0, (q, e)
+    return sum(d * exact[d] for d in divs if d < n), exact[n]
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Does odd n > 2 pass the Miller-Rabin round to base a, straight from
+    the definition: a^d = 1 or a^(d 2^r) = -1 (mod n) for some r < s,
+    where n - 1 = d 2^s with d odd."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))

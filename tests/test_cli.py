@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from legfam import cli
+from legfam.bounds import make_report
 from legfam.cli import CSV_HEADER, main
 from legfam.ntheory import is_prime
 
@@ -76,12 +78,42 @@ def test_bound_rejects_composite_p(capsys):
     code, _, err = run_cli(capsys, "bound", "--p", "9", "--k", "1")
     assert code == 2
     assert "prime" in err
-    # a strong pseudoprime to every Miller-Rabin base the test uses
-    pseudo = "3317044064679887385961981"
-    code, _, err = run_cli(capsys, "bound", "--p", pseudo, "--k", "1")
-    assert code == 2
-    assert "prime" in err
-    assert run_cli(capsys, "scan", "--p", pseudo, "--k-max", "1")[0] == 2
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # Miller-Rabin base the test uses; psi_13 also passes base 41
+    for pseudo in ("318665857834031151167461", "3317044064679887385961981"):
+        code, _, err = run_cli(capsys, "bound", "--p", pseudo, "--k", "1")
+        assert code == 2, pseudo
+        assert "prime" in err
+        assert run_cli(capsys, "scan", "--p", pseudo, "--k-max", "1")[0] == 2, pseudo
+
+
+def test_bound_evaluates_the_cell_once(capsys, monkeypatch):
+    reports = []
+
+    def counting_make_report(p, k):
+        reports.append(make_report(p, k))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "make_report", counting_make_report)
+    outputs = {}
+    for fmt in ("text", "csv", "json"):
+        reports.clear()
+        code, outputs[fmt], _ = run_cli(
+            capsys, "bound", "--p", "2128240847", "--k", "2000", "--format", fmt
+        )
+        assert code == 0
+        assert len(reports) == 1, fmt
+        rep = reports[0]
+        if fmt == "csv":
+            # the printed row is the one report, timing columns included
+            assert outputs[fmt].splitlines() == [CSV_HEADER, cli._report_row(rep).csv()]
+    text = dict(line.split(" = ") for line in outputs["text"].strip().splitlines())
+    data = json.loads(outputs["json"])
+    row = dict(zip(CSV_HEADER.split(","), outputs["csv"].splitlines()[1].split(",")))
+    for key in ("p", "k", "new_bound", "guaranteed_j", "gyarmati_bound", "gyarmati_c", "upper_bound"):
+        assert row[key] == text[key], key
+        value = data[key]
+        assert row[key] == (cli._fmt(value) if isinstance(value, float) else str(value)), key
 
 
 def test_scan_over_p_visits_odd_primes_only(capsys):

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legfam.ntheory import (
+    PRIMALITY_LIMIT,
+    _MR_BASES,
+    _MR_PSI,
     count_irreducibles,
     count_subfield_elements,
     divisors,
@@ -15,7 +18,12 @@ from legfam.ntheory import (
     mobius,
     primes_up_to,
 )
-from oracles import mobius_direct, sieve_irreducible_counts
+from oracles import (
+    mobius_direct,
+    sieve_irreducible_counts,
+    strong_probable_prime,
+    subfield_count_by_recursion,
+)
 
 
 def test_primes_up_to_matches_known_list():
@@ -53,17 +61,55 @@ def test_is_prime_large_values():
 
 
 def test_is_prime_refuses_to_certify_past_the_deterministic_range():
-    # the least strong pseudoprime to all twelve bases: composite, and
-    # Miller-Rabin to those bases would call it prime
+    # psi_12, the least strong pseudoprime to all twelve bases 2..37, and
+    # psi_13, the least one to the thirteen bases 2..41: both composite,
+    # and Miller-Rabin to the twelve bases would call them prime
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert psi12 == PRIMALITY_LIMIT
     n = 3317044064679887385961981
     assert pow(43, n - 1, n) != 1
-    with pytest.raises(ValueError, match="certify"):
-        is_prime(n)
+    for pseudo in (psi12, n):
+        with pytest.raises(ValueError, match="certify"):
+            is_prime(pseudo)
     with pytest.raises(ValueError, match="certify"):
         is_prime(2 ** 127 - 1)
     # a composite verdict stays exact at any size
     assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
     assert not is_prime(n + 2)
+
+
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_psi_table_holds_strong_pseudoprimes_to_the_first_m_bases():
+    """Each psi_m is the least strong pseudoprime to the first m prime bases
+    (OEIS A014233, "Smallest odd number for which Miller-Rabin primality
+    test on bases <= n-th prime does not reveal compositeness"; psi_12 from
+    Sorenson and Webster, Math. Comp. 86 (2017) 985-1003). Checked here:
+    every entry is composite (a strong-test witness among the first 13
+    prime bases) and passes the first m bases, which a typo would break.
+    """
+    assert len(_MR_PSI) == len(_MR_BASES) == 12
+    assert _MR_BASES == PRIME_BASES[:12]
+    assert list(_MR_PSI) == sorted(_MR_PSI)
+    for m, psi in enumerate(_MR_PSI, 1):
+        assert all(strong_probable_prime(psi, a) for a in PRIME_BASES[:m]), m
+        assert not all(strong_probable_prime(psi, a) for a in PRIME_BASES), m
+    # the first entry is least, by brute force over the odd composites
+    primes = set(primes_up_to(2047))
+    assert [
+        n for n in range(3, 2048, 2) if n not in primes and strong_probable_prime(n, 2)
+    ] == [2047]
+
+
+def test_is_prime_matches_sieve_around_psi_thresholds():
+    # is_prime stops after base m once n < psi_m: check each side of psi_m
+    for psi in _MR_PSI[:5]:
+        lo, hi = psi - 500, psi + 500
+        window = set(primes_up_to(hi, lo))
+        for n in range(lo, hi + 1):
+            assert is_prime(n) == (n in window), n
 
 
 def test_mobius_known_values():
@@ -167,6 +213,17 @@ def test_count_subfield_elements_prime_degree():
     for q in (3, 5, 7):
         for n in (2, 3, 5):
             assert count_subfield_elements(q, n) == q
+
+
+def test_counts_match_the_recursive_oracle():
+    small = [q for q in range(2, 51) if is_prime_power(q) is not None]
+    assert len(small) == 23
+    cells = [(q, n) for q in small for n in range(1, 61)]
+    cells += [(p, k) for p in (2128240847, 2110510001) for k in (1, 2, 6, 210, 1024, 2000)]
+    for q, n in cells:
+        subfield, irreducibles = subfield_count_by_recursion(q, n)
+        assert count_subfield_elements(q, n) == subfield, (q, n)
+        assert count_irreducibles(q, n) == irreducibles, (q, n)
 
 
 def test_log2_of_big_small_values_match_math_log2():
