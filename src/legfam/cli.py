@@ -242,6 +242,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     if res.witness_failure is None
                     else list(res.witness_failure[1]),
                     "cells_examined": res.cells_examined,
+                    "levels": [
+                        {"j": j, "splits": splits, "time_ns": ns}
+                        for j, (splits, ns) in enumerate(res.levels, start=1)
+                    ],
                     "time_ns": elapsed,
                 }
             )
@@ -255,6 +259,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"witness_positions = {','.join(map(str, pos))}")
         print(f"witness_signs = {','.join(f'{s:+d}' for s in signs)}")
     print(f"cells_examined = {res.cells_examined}")
+    for j, (splits, ns) in enumerate(res.levels, start=1):
+        print(f"level {j}: splits = {splits}, time_ns = {ns}")
     print(f"time_ns = {elapsed}")
     return EXIT_OK
 
@@ -355,7 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--j-cap", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET)
+    sp.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_CELL_BUDGET,
+        help="most member-group splits the search may make (exit 3 beyond it)",
+    )
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_oracle)
 

@@ -235,3 +235,34 @@ def strong_probable_prime(n: int, a: int) -> bool:
     while d % 2 == 0:
         d, s = d // 2, s + 1
     return pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+
+
+def family_complexity_by_patterns(
+    rows, n: int, j_cap: int | None = None
+) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """(gamma, witness) of the +-1 rows of length n by reading every
+    member's sign pattern at every position tuple, level by level.
+
+    The witness is the lexicographically first position tuple (1-based)
+    with an unrealized pattern and the smallest such pattern, MSB = first
+    position and -1 < +1; it is None when gamma reached min(n, j_cap).
+    """
+    limit = n if j_cap is None else min(n, j_cap)
+    # one bitmask per row: bit (i-1) set iff the value at position i is +1
+    masks = [sum(1 << (i - 1) for i, v in enumerate(row, start=1) if v == 1) for row in rows]
+    for j in range(1, limit + 1):
+        full = 1 << j
+        for pos in itertools.combinations(range(1, n + 1), j):
+            seen = set()
+            for mask in masks:
+                b = 0
+                for i in pos:
+                    b = (b << 1) | ((mask >> (i - 1)) & 1)
+                seen.add(b)
+                if len(seen) == full:
+                    break
+            if len(seen) < full:
+                missing = next(b for b in range(full) if b not in seen)
+                signs = tuple(1 if (missing >> (j - 1 - t)) & 1 else -1 for t in range(j))
+                return j - 1, (pos, signs)
+    return limit, None

@@ -22,7 +22,7 @@ from legfam.bounds import (
 )
 from legfam.checks import check_weil
 from legfam.cli import main
-from legfam.fcomplexity import family_complexity
+from legfam.fcomplexity import family_complexity, satisfies_spec
 from legfam.lambertw import w0_complex, w0_from_log, w0_real
 from legfam.legendre_seq import build_family
 from legfam.ntheory import (
@@ -140,13 +140,25 @@ def test_criterion_07_oracle_sandwich():
             gamma = family_complexity(build_family(p, k)).gamma
             assert guaranteed_j(p, k) <= gamma, (p, k, gamma)
             assert gamma <= upper_bound(p, k) + 1e-12, (p, k, gamma)
+    # the seven oracle benchmark cells and two past the old cell budget
+    for p, k in ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3),
+                 (31, 2), (37, 2)):
+        fam = build_family(p, k)
+        res = family_complexity(fam)
+        assert guaranteed_j(p, k) <= res.gamma, (p, k, res.gamma)
+        assert res.gamma <= upper_bound(p, k) + 1e-12, (p, k, res.gamma)
+        if (p, k) == (31, 2):
+            assert res.gamma == 5
+            assert res.witness_failure == ((1, 2, 3, 4, 9, 11), (1, 1, 1, -1, 1, 1))
+            assert not satisfies_spec(fam, *res.witness_failure)
     assert family_complexity(build_family(3, 2)).gamma == 1
     assert theorem1_bound(3, 2) == pytest.approx(1.5147, abs=1e-4)
     assert guaranteed_j(7, 2) == 2
     assert family_complexity(build_family(7, 2)).gamma >= 2
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 1min"
-    _report(7, "guaranteed_j <= oracle gamma <= log2 I_p(k) on all desk cells")
+    _report(7, "guaranteed_j <= oracle gamma <= log2 I_p(k) on all desk cells, "
+               "the oracle benchmark cells, (31,2) and (37,2)")
 
 
 def test_criterion_08_weil_enumeration():

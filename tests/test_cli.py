@@ -222,6 +222,9 @@ def test_oracle_text_output(capsys):
     assert "gamma = 1" in out
     assert "witness_positions = 1,2" in out
     assert "witness_signs = +1,+1" in out
+    assert "cells_examined = 6" in out
+    assert "level 1: splits = 3, time_ns = " in out
+    assert "level 2: splits = 3, time_ns = " in out
 
 
 def test_oracle_json_output(capsys):
@@ -230,6 +233,17 @@ def test_oracle_json_output(capsys):
     data = json.loads(out)
     assert data["gamma"] == 2
     assert data["cells_examined"] > 0
+    assert [level["j"] for level in data["levels"]] == [1, 2, 3]
+    assert sum(level["splits"] for level in data["levels"]) == data["cells_examined"]
+
+
+def test_oracle_31_2_fits_the_default_budget(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--p", "31", "--k", "2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["gamma"] == 5
+    assert data["witness_positions"] == [1, 2, 3, 4, 9, 11]
+    assert len(data["levels"]) == 6
 
 
 def test_oracle_budget_exit_code(capsys):

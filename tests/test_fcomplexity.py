@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legfam.checks import DEFAULT_SANDWICH_CELLS
 from legfam.errors import BudgetExceededError
 from legfam.fcomplexity import family_complexity, satisfies_spec
 from legfam.gf import PolyModP
 from legfam.legendre_seq import LegendreSequence, SequenceFamily, build_family
+from oracles import family_complexity_by_patterns
+
+# the cells of the benchmark's oracle workload
+BENCHMARK_CELLS = ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3))
 
 
 def _fake_family(p: int, rows: list[tuple[int, ...]]) -> SequenceFamily:
@@ -121,16 +126,18 @@ def test_j_cap_stops_early():
 
 def test_budget_error_names_first_unverified_level():
     fam = build_family(13, 2)
+    # level 1 may split the whole family once per position: 13 splits
     with pytest.raises(BudgetExceededError) as exc:
-        family_complexity(fam, cell_budget=50)
+        family_complexity(fam, cell_budget=12)
     assert "j=1" in str(exc.value)
 
 
 def test_budget_error_partial_progress_level():
     fam = build_family(13, 2)
-    # enough for level 1 (13 tuples * 84 members * 1 = 1092) but not level 2
+    # level 1 makes 13 splits; level 2 may make up to 13 (first positions)
+    # + C(13, 2) * 2 (both groups at the second) = 169, and 13 + 169 > 100
     with pytest.raises(BudgetExceededError) as exc:
-        family_complexity(fam, cell_budget=2_000)
+        family_complexity(fam, cell_budget=100)
     assert "j=2" in str(exc.value)
 
 
@@ -147,5 +154,51 @@ def test_gamma_monotone_under_member_removal(mask):
 def test_cells_examined_counts_match_hand_computation():
     fam = build_family(3, 2)
     res = family_complexity(fam)
-    # level 1: 3 tuples * 3 members; level 2: first tuple fails after 3*2
-    assert res.cells_examined == 9 + 6
+    # level 1: 3 positions * 1 group; level 2: 1 split at position 1, then
+    # at position 2 group 0 splits fine and group 1 (+1 at 1) has no +1 side
+    assert res.cells_examined == 3 + (1 + 2)
+    assert res.levels[0][0] == 3 and res.levels[1][0] == 3
+
+
+@pytest.mark.parametrize(
+    "p,k", dict.fromkeys(DEFAULT_SANDWICH_CELLS + BENCHMARK_CELLS + ((7, 3), (3, 4), (5, 4)))
+)
+def test_matches_pattern_reading_reference(p, k):
+    fam = build_family(p, k)
+    res = family_complexity(fam)
+    rows = [m.values for m in fam.members]
+    assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p)
+
+
+@given(
+    st.sampled_from((3, 5, 7, 11)).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.tuples(*[st.sampled_from((-1, 1))] * p), max_size=60),
+        )
+    ),
+    st.sampled_from((None, 0, 1, 2, 3)),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_families_match_pattern_reading_reference(p_rows, j_cap):
+    p, rows = p_rows
+    res = family_complexity(_fake_family(p, rows), j_cap=j_cap)
+    assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p, j_cap)
+
+
+@pytest.mark.parametrize(
+    "fam,j_cap",
+    [
+        (build_family(13, 2), None),
+        (build_family(13, 2), 2),
+        (_fake_family(3, list(itertools.product((-1, 1), repeat=3))), None),
+        (_fake_family(5, []), None),
+        (_fake_family(5, []), 0),
+    ],
+)
+def test_levels_account_for_every_split(fam, j_cap):
+    res = family_complexity(fam, j_cap=j_cap)
+    assert sum(splits for splits, _ in res.levels) == res.cells_examined
+    assert all(ns >= 0 for _, ns in res.levels)
+    searched = res.gamma if res.witness_failure is None else res.gamma + 1
+    assert len(res.levels) == searched
