@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .checks import SUITES, run_suite
 from .errors import BudgetExceededError
-from .fcomplexity import DEFAULT_CELL_BUDGET, family_complexity
+from .fcomplexity import DEFAULT_CELL_BUDGET, ComplexityBudgetError, family_complexity
 from .lambertw import ConvergenceError, w0_complex, w0_from_log, w0_real
 from .legendre_seq import build_family
 from .ntheory import primes_up_to
@@ -225,10 +225,32 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _levels_json(levels: tuple[tuple[int, int], ...]) -> list[dict[str, int]]:
+    return [
+        {"j": j, "splits": splits, "time_ns": ns}
+        for j, (splits, ns) in enumerate(levels, start=1)
+    ]
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     family = build_family(args.p, args.k)
     t0 = time.perf_counter_ns()
-    res = family_complexity(family, j_cap=args.j_cap, cell_budget=args.budget)
+    try:
+        res = family_complexity(family, j_cap=args.j_cap, cell_budget=args.budget)
+    except ComplexityBudgetError as exc:
+        # the refusal still exits 3; json callers also get what was verified
+        if args.format == "json":
+            print(
+                json.dumps(
+                    {
+                        "gamma": None,
+                        "gamma_lower_bound": exc.gamma_lower_bound,
+                        "refused_level": exc.refused_level,
+                        "levels": _levels_json(exc.levels),
+                    }
+                )
+            )
+        raise
     elapsed = time.perf_counter_ns() - t0
     if args.format == "json":
         print(
@@ -242,10 +264,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     if res.witness_failure is None
                     else list(res.witness_failure[1]),
                     "cells_examined": res.cells_examined,
-                    "levels": [
-                        {"j": j, "splits": splits, "time_ns": ns}
-                        for j, (splits, ns) in enumerate(res.levels, start=1)
-                    ],
+                    "levels": _levels_json(res.levels),
                     "time_ns": elapsed,
                 }
             )

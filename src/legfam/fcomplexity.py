@@ -26,7 +26,13 @@ from typing import Sequence
 from .errors import BudgetExceededError
 from .legendre_seq import SequenceFamily
 
-__all__ = ["ComplexityResult", "satisfies_spec", "family_complexity", "DEFAULT_CELL_BUDGET"]
+__all__ = [
+    "ComplexityResult",
+    "ComplexityBudgetError",
+    "satisfies_spec",
+    "family_complexity",
+    "DEFAULT_CELL_BUDGET",
+]
 
 # Group splits allowed per call. At the ~4.5 M splits/s measured on a
 # 2-core Xeon (Python 3.11) its worst case takes about a minute, as the
@@ -54,6 +60,18 @@ class ComplexityResult:
     witness_failure: tuple[tuple[int, ...], tuple[int, ...]] | None
     cells_examined: int
     levels: tuple[tuple[int, int], ...]
+
+
+class ComplexityBudgetError(BudgetExceededError):
+    """The budget refused level refused_level after every level below it
+    passed, so gamma >= gamma_lower_bound = refused_level - 1; levels holds
+    the (splits, ns) of those verified levels, as in ComplexityResult."""
+
+    def __init__(self, message: str, refused_level: int, levels: tuple[tuple[int, int], ...]):
+        super().__init__(message)
+        self.refused_level = refused_level
+        self.gamma_lower_bound = refused_level - 1
+        self.levels = levels
 
 
 def satisfies_spec(
@@ -149,8 +167,9 @@ def family_complexity(
     stops at the first failing position tuple, so the returned witness is
     canonical. The group splits of a full level are bounded above by
     _level_cost before starting it; if that bound would push the splits
-    made past cell_budget, BudgetExceededError is raised naming the first
-    unverified level (no partial answers).
+    made past cell_budget, ComplexityBudgetError is raised naming the first
+    unverified level and carrying the lower bound and levels verified so
+    far.
 
     An empty family has gamma 0. gamma is capped at the sequence length
     (only p distinct positions exist) and at j_cap if given.
@@ -171,9 +190,12 @@ def family_complexity(
     for j in range(1, limit + 1):
         upcoming = _level_cost(n, j)
         if cells + upcoming > cell_budget:
-            raise BudgetExceededError(
+            raise ComplexityBudgetError(
                 f"cell budget {cell_budget} exhausted before verifying j={j} "
-                f"(level needs up to {upcoming} more group splits, {cells} used)"
+                f"(level needs up to {upcoming} more group splits, {cells} used); "
+                f"verified gamma >= {j - 1}",
+                j,
+                tuple(levels),
             )
         t0 = time.perf_counter_ns()
         found, splits = _search_level(plus, everyone, j)

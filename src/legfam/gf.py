@@ -277,11 +277,51 @@ def is_irreducible(f: PolyModP) -> bool:
 
 
 def _monic_irreducibles(p: int, k: int) -> Iterator[tuple[int, ...]]:
-    # coefficient tuples (lowest first) in enumerate_irreducibles' order
+    # coefficient tuples (lowest first) in enumerate_irreducibles' order, one
+    # Rabin test each; lazy, so ExtField takes the first without scanning p^k
     for tail in itertools.product(range(p), repeat=k):
         coeffs = tuple(reversed(tail)) + (1,)
         if _rabin_irreducible(p, coeffs):
             yield coeffs
+
+
+# most int64 entries in one temporary array of the sieve (128 KiB)
+_SIEVE_BLOCK = 1 << 14
+
+
+def _monic_rows(p: int, k: int, tails: np.ndarray) -> np.ndarray:
+    # one row per tail id t = sum_{i<k} a_i p^i: (a_0, ..., a_{k-1}, 1)
+    rows = np.ones((len(tails), k + 1), dtype=np.int64)
+    rows[:, :k] = tails[:, None] // p ** np.arange(k, dtype=np.int64) % p
+    return rows
+
+
+def _irreducible_mask(p: int, k: int) -> np.ndarray:
+    """Flags over the tail ids 0..p^k - 1: True at the monic irreducibles
+    of degree k over F_p.
+
+    A monic polynomial of degree k is reducible iff it is f*g with f monic
+    irreducible of degree d in [1, k//2] and g monic of degree k - d, so
+    clearing every such product leaves exactly the irreducibles flagged.
+    """
+    irreducible = np.ones(p ** k, dtype=bool)
+    for d in range(1, k // 2 + 1):
+        m = k - d
+        f_rows = _monic_rows(p, d, np.flatnonzero(_irreducible_mask(p, d)))
+        g_count = p ** m
+        g_step = min(g_count, _SIEVE_BLOCK // (m + 1))
+        f_step = max(1, _SIEVE_BLOCK // g_step)
+        for g_lo in range(0, g_count, g_step):
+            g = _monic_rows(p, m, np.arange(g_lo, min(g_lo + g_step, g_count))).T
+            for f_lo in range(0, len(f_rows), f_step):
+                f = f_rows[f_lo : f_lo + f_step].T[:, :, None]
+                # ids[a, b] = tail id of f_a * g_b, one coefficient at a time
+                ids = np.zeros((f.shape[1], g.shape[1]), dtype=np.int64)
+                for i in range(k):
+                    c = sum(f[s] * g[i - s] for s in range(max(0, i - m), min(d, i) + 1))
+                    ids += c % p * p ** i
+                irreducible[ids] = False
+    return irreducible
 
 
 def enumerate_irreducibles(
@@ -292,6 +332,12 @@ def enumerate_irreducibles(
     Ordered lexicographically by the coefficient tuple (a_{k-1}, ..., a_0),
     i.e. x^2 + 1 before x^2 + x + 2 before x^2 + 2x + 2 for p = 3. Refuses
     to scan more than `budget` candidates (p^k of them).
+
+    The candidates are sieved, not tested one by one: every product of a
+    monic irreducible of degree d <= k/2 (sieved the same way) with a
+    monic polynomial of degree k - d is marked reducible in a table of p^k
+    flags, with numpy computing the products in blocks of 2^14. Rabin's
+    test stays behind is_irreducible and ExtField's modulus.
     """
     _require_odd_prime(p)
     if k < 1:
@@ -301,7 +347,14 @@ def enumerate_irreducibles(
             f"enumerating degree-{k} polynomials over F_{p} needs {p ** k} "
             f"candidates, budget is {budget}"
         )
-    return [PolyModP(p, coeffs) for coeffs in _monic_irreducibles(p, k)]
+    irreducible = _irreducible_mask(p, k)
+    step = _SIEVE_BLOCK // (k + 1)
+    out = []
+    for lo in range(0, p ** k, step):
+        tails = lo + np.flatnonzero(irreducible[lo : lo + step])
+        # zip over the columns yields coefficient tuples without a list per row
+        out.extend(PolyModP(p, row) for row in zip(*_monic_rows(p, k, tails).T.tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,14 @@ class LegendreSequence:
         return self.p
 
 
-def _sequence_values(f: PolyModP) -> tuple[int, ...]:
+def _residue_table(p: int) -> list[int]:
+    # table[a] = (a/p), with the +1 patch at a = 0
+    return [legendre_symbol(a, p) or 1 for a in range(p)]
+
+
+def _sequence_values(f: PolyModP, table: list[int]) -> tuple[int, ...]:
     p = f.p
-    out = []
-    for n in range(1, p + 1):
-        s = legendre_symbol(f.evaluate(n % p), p)
-        out.append(s if s else 1)
-    return tuple(out)
+    return tuple(table[f.evaluate(n % p)] for n in range(1, p + 1))
 
 
 def build_sequence(f: PolyModP) -> LegendreSequence:
@@ -86,7 +87,7 @@ def build_sequence(f: PolyModP) -> LegendreSequence:
         raise ValueError(f"polynomial must be nonconstant, got {f!r}")
     if f.gcd(f.derivative()).degree != 0:
         raise ValueError(f"polynomial must be squarefree, got {f!r}")
-    return LegendreSequence(f.p, _sequence_values(f), f)
+    return LegendreSequence(f.p, _sequence_values(f, _residue_table(f.p)), f)
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,9 @@ def build_family(
         raise BudgetExceededError(
             f"family F({k}, {p}) would store {cells} sequence cells, budget is {budget}"
         )
+    table = _residue_table(p)
     members = tuple(
-        LegendreSequence(p, _sequence_values(f), f)
+        LegendreSequence(p, _sequence_values(f, table), f)
         for f in enumerate_irreducibles(p, k, budget)
     )
     return SequenceFamily(p, k, members)

@@ -252,6 +252,23 @@ def test_oracle_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_oracle_budget_refusal_reports_verified_levels(capsys):
+    code, out, err = run_cli(
+        capsys, "oracle", "--p", "13", "--k", "2", "--budget", "100", "--format", "json"
+    )
+    assert code == 3
+    assert "gamma >= 1" in err
+    data = json.loads(out)
+    assert data["gamma"] is None
+    assert data["gamma_lower_bound"] == 1
+    assert data["refused_level"] == 2
+    assert [(level["j"], level["splits"]) for level in data["levels"]] == [(1, 13)]
+    # text output: the error text names the verified lower bound
+    code, _, err = run_cli(capsys, "oracle", "--p", "13", "--k", "2", "--budget", "12")
+    assert code == 3
+    assert "j=1" in err and "gamma >= 0" in err
+
+
 def test_oracle_j_cap(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--p", "13", "--k", "2", "--j-cap", "1", "--format", "json")
     assert code == 0

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from legfam.checks import DEFAULT_SANDWICH_CELLS
 from legfam.errors import BudgetExceededError
-from legfam.fcomplexity import family_complexity, satisfies_spec
+from legfam.fcomplexity import (
+    ComplexityBudgetError,
+    _level_cost,
+    family_complexity,
+    satisfies_spec,
+)
 from legfam.gf import PolyModP
 from legfam.legendre_seq import LegendreSequence, SequenceFamily, build_family
 from oracles import family_complexity_by_patterns
@@ -130,6 +135,12 @@ def test_budget_error_names_first_unverified_level():
     with pytest.raises(BudgetExceededError) as exc:
         family_complexity(fam, cell_budget=12)
     assert "j=1" in str(exc.value)
+    # nothing verified yet: the lower bound is the trivial gamma >= 0
+    assert isinstance(exc.value, ComplexityBudgetError)
+    assert exc.value.refused_level == 1
+    assert exc.value.gamma_lower_bound == 0
+    assert exc.value.levels == ()
+    assert "gamma >= 0" in str(exc.value)
 
 
 def test_budget_error_partial_progress_level():
@@ -139,6 +150,27 @@ def test_budget_error_partial_progress_level():
     with pytest.raises(BudgetExceededError) as exc:
         family_complexity(fam, cell_budget=100)
     assert "j=2" in str(exc.value)
+    # level 1 passed before the refusal, and the error keeps it
+    assert exc.value.refused_level == 2
+    assert exc.value.gamma_lower_bound == 1
+    assert "gamma >= 1" in str(exc.value)
+    full = family_complexity(fam)
+    assert [splits for splits, _ in exc.value.levels] == [full.levels[0][0]] == [13]
+
+
+def test_budget_error_keeps_every_verified_level():
+    fam = build_family(13, 2)
+    full = family_complexity(fam)  # gamma 4: levels 1..5
+    # the gate admits level 3 (splits of levels 1, 2 plus level 3's bound)
+    # and then refuses level 4, whose bound alone exceeds what is left
+    before_3 = sum(splits for splits, _ in full.levels[:2])
+    budget = before_3 + _level_cost(13, 3)
+    assert budget < sum(s for s, _ in full.levels[:3]) + _level_cost(13, 4)
+    with pytest.raises(ComplexityBudgetError) as exc:
+        family_complexity(fam, cell_budget=budget)
+    assert exc.value.refused_level == 4
+    assert exc.value.gamma_lower_bound == 3 <= full.gamma
+    assert [s for s, _ in exc.value.levels] == [s for s, _ in full.levels[:3]]
 
 
 @given(st.integers(0, 2 ** 5 - 1))

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legfam.checks import small_fields
 from legfam.errors import BudgetExceededError
 from legfam.gf import (
     ExtField,
     PolyModP,
+    _rabin_irreducible,
     enumerate_irreducibles,
     is_irreducible,
     norm,
@@ -18,6 +20,10 @@ from legfam.gf import (
     trace,
 )
 from legfam.legendre_seq import legendre_symbol
+from legfam.ntheory import count_irreducibles
+
+# the cells of the benchmark's oracle workload
+ORACLE_CELLS = ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3))
 
 
 def brute_is_irreducible(f: PolyModP) -> bool:
@@ -110,6 +116,46 @@ def test_is_irreducible_rejects_non_monic_and_constants():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_irreducibles(3, 2, budget=5)
+
+
+def rabin_enumeration(p: int, k: int) -> list[tuple[int, ...]]:
+    # one Rabin test per candidate, in (a_{k-1}, ..., a_0) lex order
+    candidates = (tuple(reversed(t)) + (1,) for t in itertools.product(range(p), repeat=k))
+    return [c for c in candidates if _rabin_irreducible(p, c)]
+
+
+def test_sieve_equals_rabin_enumeration_in_order():
+    for p, k in small_fields(4096) + list(ORACLE_CELLS):
+        got = [f.coeffs for f in enumerate_irreducibles(p, k)]
+        assert got == rabin_enumeration(p, k), (p, k)
+
+
+@given(
+    st.sampled_from([(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3),
+                     (5, 4), (7, 2), (7, 3), (11, 2), (11, 3), (13, 2)]),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_sieve_membership_matches_trial_division(cell, data):
+    p, k = cell
+    tail = data.draw(st.tuples(*[st.integers(0, p - 1)] * k))
+    f = PolyModP(p, tail + (1,))
+    found = {g.coeffs for g in enumerate_irreducibles(p, k)}
+    assert (f.coeffs in found) == brute_is_irreducible(f)
+
+
+def test_default_modulus_is_first_enumerated_irreducible():
+    # ExtField finds its modulus lazily by Rabin; the sieve must agree
+    cells = [(p, k) for p, k in small_fields(4096) if k >= 2]
+    for p, k in cells + [(3, 1), (13, 1), (1021, 1), (3, 12), (7, 7)]:
+        assert ExtField(p, k).modulus == enumerate_irreducibles(p, k)[0], (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(1021, 2), (101, 3), (3, 12)])
+def test_sieve_count_on_large_tables(p, k):
+    polys = enumerate_irreducibles(p, k)
+    assert len(polys) == count_irreducibles(p, k)
+    assert polys[0].degree == polys[-1].degree == k
 
 
 def test_ext_field_construction_and_ids():

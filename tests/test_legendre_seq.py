@@ -138,3 +138,13 @@ def test_family_values_match_rebuilt_sequences(cell):
     fam = build_family(p, k)
     for member in fam.members:
         assert build_sequence(member.source).values == member.values
+
+
+@pytest.mark.parametrize("p,k", [(13, 2), (29, 2), (13, 3), (3, 4)])
+def test_family_values_match_direct_symbols(p, k):
+    # every member, every position, from the definition of (a/p)
+    fam = build_family(p, k)
+    symbol = [legendre_direct(a, p) or 1 for a in range(p)]
+    for member in fam.members:
+        f = member.source
+        assert member.values == tuple(symbol[f.evaluate(n)] for n in range(1, p + 1))
