@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -60,9 +61,7 @@ class CheckReport:
 def small_fields(size_limit: int) -> list[tuple[int, int]]:
     """All (p, k) with odd prime p and p^k <= size_limit, ascending in p."""
     cells = []
-    for p in primes_up_to(size_limit):
-        if p == 2:
-            continue
+    for p in primes_up_to(size_limit, 3):
         k = 1
         while p ** k <= size_limit:
             cells.append((p, k))
@@ -70,8 +69,47 @@ def small_fields(size_limit: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _weil_slack(j: int, sqrt_n: float) -> float:
-    return ((j - 2) / 2 + 2.0 ** -j) * sqrt_n + j / 2
+def _weil_limit(j: int, n: int) -> int:
+    """The largest |2^j N - n| that a count N at j positions may reach.
+
+    The slack |N - n/2^j| <= ((j-2)/2 + 2^-j) sqrt(n) + j/2, times 2^j, is
+    R <= L sqrt(n) with L = (j-2) 2^(j-1) + 1 >= 0, R = |2^j N - n| - j 2^(j-1).
+    R is an integer, so that holds iff R <= isqrt(L^2 n): R <= 0 or R^2 <= L^2 n.
+    """
+    lead = (j - 2) * 2 ** (j - 1) + 1
+    return j * 2 ** (j - 1) + math.isqrt(lead * lead * n)
+
+
+def _sign_bitsets(chi: np.ndarray, p: int) -> np.ndarray:
+    """bits[i, s] packs {id : chi(alpha_id + i) = (-1, +1)[s]} into uint64
+    words, for every shift i in [0, p); chi is a field's char_table."""
+    mat = chi.reshape(-1, p)
+    # adding a prime-field constant only rotates the lowest base-p digit
+    shifts = np.stack([np.roll(mat, -i, axis=1).reshape(-1) for i in range(p)])
+    packed = np.packbits(np.stack([shifts == -1, shifts == 1], axis=1), axis=-1)
+    return np.pad(packed, ((0, 0), (0, 0), (0, -packed.shape[-1] % 8))).view(np.uint64)
+
+
+def _pattern_counts(
+    bits: np.ndarray, depth: int, prefix: tuple[int, ...] = (), sets: np.ndarray | None = None
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (prefix, counts) for the empty prefix and every increasing
+    position tuple shorter than depth. Row r of counts extends the prefix
+    by the r-th position after it; column c is the sign pattern whose bits,
+    first position most significant, are 1 for +1. sets holds the prefix's
+    elements as one bitset per sign pattern, in the same order."""
+    if len(prefix) >= depth:
+        return
+    p, _, words = bits.shape
+    start = prefix[-1] + 1 if prefix else 0
+    if sets is None:
+        sets = np.full((1, words), ~np.uint64(0))
+    ext = (sets[None, :, None] & bits[start:, None]).reshape(p - start, -1, words)
+    yield prefix, np.bitwise_count(ext).sum(axis=-1, dtype=np.int64)
+    if len(prefix) + 1 < depth:
+        # the last position has no later one to extend by
+        for i, child in zip(range(start, p - 1), ext):
+            yield from _pattern_counts(bits, depth, prefix + (i,), child)
 
 
 def check_weil(size_limit: int = 169, j_max: int = 3) -> CheckReport:
@@ -79,89 +117,44 @@ def check_weil(size_limit: int = 169, j_max: int = 3) -> CheckReport:
 
     For every j <= j_max, every tuple of j distinct shift residues, and
     every sign pattern, the number N of field elements realizing the
-    pattern must satisfy |N - p^k/2^j| <= ((j-2)/2 + 2^-j) p^{k/2} + j/2,
-    and the 2^j counts of one tuple must sum to p^k - j (each shift
-    position knocks out exactly one element, whose character value is 0).
-    On top of that, for every j up to guaranteed_j(p, k), the minimum N
-    must strictly exceed the subfield-element count; that strict gap is
-    what makes the certified j honest.
+    pattern must satisfy |N - p^k/2^j| <= ((j-2)/2 + 2^-j) p^{k/2} + j/2
+    (decided in integers by _weil_limit), and the 2^j counts of one tuple
+    must sum to p^k - j (each shift position knocks out exactly one
+    element, whose character value is 0). On top of that, for every j up
+    to guaranteed_j(p, k), the minimum N must strictly exceed the
+    subfield-element count; that strict gap is what makes the certified j
+    honest.
 
-    The sweep is vectorized per tuple prefix; j_max beyond 3 is not
-    implemented (the acceptance grid never needs it).
+    The elements with chi(x + i) = s are packed into uint64 bitsets, one
+    per shift i and sign s. A tuple prefix carries one bitset per sign
+    pattern; extending it by every later position is one vectorized AND
+    and the counts are popcounts, so only the prefixes are walked in
+    Python and any j_max works.
     """
-    if j_max > 3:
-        raise ValueError(f"sweep supports j_max <= 3, got {j_max}")
     rep = CheckReport("weil")
     for p, k in small_fields(size_limit):
         n = p ** k
-        fld = ExtField(p, k)
-        chi = fld.char_table()
-        mat = chi.reshape(n // p, p)
-        # shifts[i][id] = chi(alpha_id + i): adding a prime-field constant
-        # only rotates the lowest base-p digit
-        shifts = np.stack([np.roll(mat, -i, axis=1).reshape(-1) for i in range(p)])
-        sqrt_n = math.sqrt(n)
-        min_by_j: dict[int, int] = {}
         depth = min(j_max, p)
-
-        def note_counts(j: int, cnt: np.ndarray, expected_sum: int) -> None:
-            rep.checked += cnt.size
-            slack = _weil_slack(j, sqrt_n)
-            center = n / 2 ** j
-            if (np.abs(cnt - center) > slack + 1e-9).any():
-                worst = int(np.abs(cnt - center).max())
-                rep.record(
-                    f"({p},{k}) j={j}: count deviates {worst} from {center}, "
-                    f"allowed {slack:.3f}"
-                )
-            sums = cnt.sum(axis=-1)
-            if not (sums == expected_sum).all():
-                rep.record(f"({p},{k}) j={j}: pattern counts sum to {sums} != {expected_sum}")
-            m = int(cnt.min())
-            if j not in min_by_j or m < min_by_j[j]:
-                min_by_j[j] = m
-
-        if depth >= 1:
-            plus = (shifts == 1).sum(axis=1, dtype=np.int64)
-            minus = (shifts == -1).sum(axis=1, dtype=np.int64)
-            note_counts(1, np.stack([minus, plus], axis=1), n - 1)
-        if depth >= 2:
-            for i1 in range(p - 1):
-                row = shifts[i1]
-                rest = shifts[i1 + 1 :]
-                ok = (row != 0) & (rest != 0)
-                sig = (row == 1).astype(np.int8) + 2 * (rest == 1).astype(np.int8)
-                rows = rest.shape[0]
-                idx = (np.arange(rows)[:, None] * 4 + sig)[ok]
-                cnt = np.bincount(idx, minlength=4 * rows).reshape(rows, 4)
-                note_counts(2, cnt, n - 2)
-        if depth >= 3:
-            for i1 in range(p - 2):
-                b1 = (shifts[i1] == 1).astype(np.int8)
-                v1 = shifts[i1] != 0
-                for i2 in range(i1 + 1, p - 1):
-                    b2 = b1 + 2 * (shifts[i2] == 1).astype(np.int8)
-                    v2 = v1 & (shifts[i2] != 0)
-                    rest = shifts[i2 + 1 :]
-                    ok = v2 & (rest != 0)
-                    sig = b2 + 4 * (rest == 1).astype(np.int8)
-                    rows = rest.shape[0]
-                    idx = (np.arange(rows)[:, None] * 8 + sig)[ok]
-                    cnt = np.bincount(idx, minlength=8 * rows).reshape(rows, 8)
-                    note_counts(3, cnt, n - 3)
-
         gj = guaranteed_j(p, k)
+        subfield = count_subfield_elements(p, k)
+        for prefix, cnt in _pattern_counts(_sign_bitsets(ExtField(p, k).char_table(), p), depth):
+            j = len(prefix) + 1
+            rep.checked += cnt.size
+            worst, limit = int(np.abs((cnt << j) - n).max()), _weil_limit(j, n)
+            if worst > limit:
+                rep.record(f"({p},{k}) j={j} after {prefix}: |2^j N - p^k| = {worst} > {limit}")
+            sums = cnt.sum(axis=-1)
+            if (sums != n - j).any():
+                rep.record(f"({p},{k}) j={j} after {prefix}: counts sum to {sums} != {n - j}")
+            if j <= gj and cnt.min() <= subfield:
+                rep.record(
+                    f"({p},{k}) j={j} after {prefix}: min count {cnt.min()} <= "
+                    f"subfield count {subfield}"
+                )
         if gj > depth:
             rep.record(f"({p},{k}): guaranteed_j={gj} deeper than swept j_max={depth}")
-            continue
-        subfield = count_subfield_elements(p, k)
-        for j in range(1, gj + 1):
-            rep.checked += 1
-            if not min_by_j[j] > subfield:
-                rep.record(
-                    f"({p},{k}) j={j}: min pattern count {min_by_j[j]} does not "
-                    f"exceed subfield count {subfield}"
-                )
+        else:
+            rep.checked += gj  # one minimum-versus-subfield check per certified j
     return rep
 
 

@@ -266,3 +266,20 @@ def family_complexity_by_patterns(
                 signs = tuple(1 if (missing >> (j - 1 - t)) & 1 else -1 for t in range(j))
                 return j - 1, (pos, signs)
     return limit, None
+
+
+def weil_sweep_size(size_limit: int, j_max: int, certified) -> int:
+    """How many checks a complete weil sweep makes: over every field of
+    odd characteristic p with p^k <= size_limit (found by trial division),
+    C(p, j) * 2^j pattern counts for each j <= min(j_max, p), plus one
+    minimum-versus-subfield check for each j <= certified(p, k)."""
+    total = 0
+    for p in range(3, size_limit + 1):
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        k = 1
+        while p ** k <= size_limit:
+            swept = sum(math.comb(p, j) << j for j in range(1, min(j_max, p) + 1))
+            total += swept + certified(p, k)
+            k += 1
+    return total

@@ -33,7 +33,7 @@ from legfam.ntheory import (
     primes_up_to,
 )
 import conftest
-from oracles import sieve_irreducible_counts
+from oracles import sieve_irreducible_counts, weil_sweep_size
 
 
 def _report(n: int, message: str) -> None:
@@ -165,6 +165,8 @@ def test_criterion_08_weil_enumeration():
     t0 = time.monotonic()
     rep = check_weil(size_limit=169, j_max=3)
     assert rep.ok, rep.failures[:5]
+    # a sweep that skips tuples must not pass on a smaller count
+    assert rep.checked == weil_sweep_size(169, 3, guaranteed_j) == 52_636_254
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 2min"
     _report(8, f"{rep.checked} pattern counts within the character-sum slack")

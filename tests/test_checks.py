@@ -1,7 +1,14 @@
+import itertools
+from decimal import Decimal, localcontext
+
 import pytest
 
+from legfam.bounds import guaranteed_j
 from legfam.checks import (
     CheckReport,
+    _pattern_counts,
+    _sign_bitsets,
+    _weil_limit,
     check_corollary1,
     check_gauss,
     check_sandwich,
@@ -10,6 +17,7 @@ from legfam.checks import (
     small_fields,
 )
 from legfam.gf import ExtField, pattern_count
+from oracles import weil_sweep_size
 
 
 def test_small_fields_enumeration():
@@ -58,28 +66,62 @@ def test_check_sandwich_defaults_pass():
 def test_check_weil_small_limit_passes():
     rep = check_weil(size_limit=49, j_max=3)
     assert rep.ok, rep.failures[:3]
-    assert rep.checked > 1000
+    # a sweep that skips tuples must not pass on a smaller count
+    assert rep.checked == weil_sweep_size(49, 3, guaranteed_j) == 493_933
 
 
-def test_check_weil_rejects_deep_j():
-    with pytest.raises(ValueError):
-        check_weil(size_limit=49, j_max=4)
+def test_check_weil_deep_j_passes():
+    rep = check_weil(size_limit=49, j_max=4)
+    assert rep.ok, rep.failures[:3]
+    assert rep.checked == weil_sweep_size(49, 4, guaranteed_j) == 9_142_605
+
+
+def test_weil_limit_is_the_slack_decided_exactly():
+    # |N - n/2^j| <= ((j-2)/2 + 2^-j) sqrt(n) + j/2, in decimal arithmetic
+    # precise enough that every tie (n a perfect square) is exact
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for n in sorted({p ** k for p, k in small_fields(169)}):
+            root = Decimal(n).sqrt()
+            for j in range(1, 6):
+                slack = (Decimal(j - 2) / 2 + Decimal(2) ** -j) * root + Decimal(j) / 2
+                for count in range(n + 1):
+                    inside = abs(count - Decimal(n) / 2 ** j) <= slack
+                    assert inside == (abs((count << j) - n) <= _weil_limit(j, n)), (j, n, count)
+    # every j = 1 count, (n - 1)/2, sits exactly on the bound
+    assert all(_weil_limit(1, n) == 1 for n in (3, 9, 27, 169))
 
 
 def test_check_weil_counts_cross_checked_against_pattern_count():
-    # the sweep's minimum-count bookkeeping must agree with the direct
-    # counter on a fixed pattern; re-derive one cell by brute force
-    F = ExtField(7, 2)
-    direct = pattern_count(F, (1, 2, 3), (1, -1, 1))
-    total = 0
-    for a in range(F.size):
-        el = F.from_id(a)
-        sig = []
-        for pos in (1, 2, 3):
-            sig.append(F.char_table()[F.element_id(el + F.element((pos,)))])
-        if sig == [1, -1, 1]:
-            total += 1
-    assert direct == total
+    # every count the sweep makes for j <= 3 equals the direct counter
+    for p, k in ((7, 2), (3, 3)):
+        F = ExtField(p, k)
+        seen = set()
+        for prefix, counts in _pattern_counts(_sign_bitsets(F.char_table(), p), 3):
+            start = prefix[-1] + 1 if prefix else 0
+            for last, row in zip(range(start, p), counts):
+                pos = prefix + (last,)
+                j = len(pos)
+                for pattern, count in enumerate(row):
+                    signs = [1 if pattern >> (j - 1 - t) & 1 else -1 for t in range(j)]
+                    assert count == pattern_count(F, pos, signs), (p, k, pos, signs)
+                seen.add(pos)
+        assert seen == {c for j in (1, 2, 3) for c in itertools.combinations(range(p), j)}
+
+
+def test_check_weil_catches_one_flipped_character_value(monkeypatch):
+    table = ExtField.char_table
+
+    def flipped(self, *args, **kwargs):
+        chi = table(self, *args, **kwargs).copy()
+        if (self.p, self.k) == (7, 2):
+            chi[1] = -chi[1]
+        return chi
+
+    monkeypatch.setattr(ExtField, "char_table", flipped)
+    rep = check_weil(size_limit=49, j_max=3)
+    assert not rep.ok
+    assert all(f.startswith("(7,2)") for f in rep.failures)
 
 
 def test_run_suite_names():

@@ -307,6 +307,7 @@ def test_pattern_count_matches_brute_force():
             ((1, 2), (1, -1)),
             ((1, 3), (-1, -1)),
             ((2,), (-1,)),
+            ((1, 2, 3), (1, -1, 1)),
         ):
             if max(positions) > p:
                 continue
