@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the bound-comparison and timing figures.
+"""Regenerate the bound-comparison and timing figures and the gap table.
 
 Writes four CSVs plus matching gnuplot scripts into --outdir and, when
 gnuplot is installed, renders them to PNG. Everything goes through the
@@ -9,11 +9,16 @@ legfam CLI so the files are exactly what a user would get by hand:
   2. both bounds against p at fixed k = 10
   3. both bounds against k at a fixed 8-digit prime
   4. median evaluation-time difference against k at the crossover prime
+  5. gap_table.md: exact gamma against both bounds on nine small cells,
+     the table in README's "How tight is the bound"
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import pathlib
 import shutil
 import subprocess
@@ -27,6 +32,38 @@ def run(argv: list[str]) -> None:
     code = legfam_main(argv)
     if code != 0:
         sys.exit(f"legfam exited with status {code}")
+
+
+# the seven cells of the benchmark's oracle workload, then (31, 2) and (37, 2)
+GAP_CELLS = ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3), (31, 2), (37, 2))
+
+
+def run_json(argv: list[str]) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = legfam_main(argv)
+    if code != 0:
+        sys.exit(f"legfam {' '.join(argv)} exited with status {code}")
+    return json.loads(buf.getvalue())
+
+
+def gap_table() -> str:
+    """Markdown table of gamma against guaranteed_j and the bounds."""
+    lines = [
+        "| (p, k) | gamma | guaranteed_j | Theorem 1 bound | older bound "
+        "| log2 I_p(k) | gamma − guaranteed_j |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for p, k in GAP_CELLS:
+        cell = ["--p", str(p), "--k", str(k), "--format", "json"]
+        gamma = run_json(["oracle", *cell])["gamma"]
+        rep = run_json(["bound", *cell])
+        j = rep["guaranteed_j"]
+        lines.append(
+            f"| ({p}, {k}) | {gamma} | {j} | {rep['new_bound']:.3f} "
+            f"| {rep['gyarmati_bound']:.3f} | {rep['upper_bound']:.3f} | {gamma - j} |"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def render(outdir: pathlib.Path) -> None:
@@ -73,6 +110,10 @@ def main() -> None:
     run(["bench", "--p", str(args.bench_p), "--k-min", "1", "--k-max", str(args.k_max),
          "--reps", str(args.reps),
          "--out", str(outdir / "times_vs_k.csv"), "--gnuplot"])
+
+    table = outdir / "gap_table.md"
+    table.write_text(gap_table(), encoding="utf-8")
+    print(f"wrote {table}")
 
     render(outdir)
 

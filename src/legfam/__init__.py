@@ -9,7 +9,6 @@ by brute force for tiny cases, and the finite-field machinery both rest on.
 
 from .bounds import (
     BoundReport,
-    LogMagnitude,
     compute_A_B,
     crossover_prime,
     guaranteed_j,
@@ -54,7 +53,6 @@ __all__ = [
     "ExtField",
     "ExtFieldElement",
     "LegendreSequence",
-    "LogMagnitude",
     "PolyModP",
     "SequenceFamily",
     "WResult",

@@ -2,9 +2,10 @@
 families, and the crossover search for where the older bound turns positive.
 
 The driving quantity A = (2 p^{k/2} - 2)/(1 + p^{-k/2}) overflows floats
-already for moderate p^k, so it is carried as a base-2 logarithm
-(LogMagnitude) and the Lambert W evaluations switch to the log-domain
-solver w0_from_log once the W argument itself cannot be materialized.
+already for moderate p^k, so it is carried as the plain float log2(A)
+(compute_A_B, BoundReport.a_log2) and the Lambert W evaluations switch to
+the log-domain solver w0_from_log once the W argument itself cannot be
+materialized.
 
 Everything here is a pure function of (p, k); only the timing fields of
 BoundReport depend on the machine.
@@ -27,7 +28,6 @@ from .ntheory import (
 )
 
 __all__ = [
-    "LogMagnitude",
     "BoundReport",
     "compute_A_B",
     "theorem1_bound",
@@ -45,40 +45,27 @@ _LOG2_LN2 = math.log2(_LN2)
 
 
 @dataclass(frozen=True)
-class LogMagnitude:
-    """A positive real carried as its base-2 logarithm.
-
-    Represents magnitudes up to 2^(10^8) and beyond, which the bound
-    computations hit routinely (p^{k/2} for p around 10^9, k in the
-    thousands).
-    """
-
-    log2_value: float
-
-    @property
-    def value(self) -> float:
-        """Materialized magnitude; inf once it exceeds float range."""
-        try:
-            return 2.0 ** self.log2_value
-        except OverflowError:
-            return math.inf
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """Both bounds plus everything needed to reproduce them."""
+    """Both bounds plus everything needed to reproduce them.
+
+    This is the one row schema of the CLI: `bound --format json` and the
+    text format print every field, in this order. The CSV columns of
+    `bound --format csv`, `scan` and `bench` are every field but a_log2
+    (log2 A) and b (B): p, k, new_bound, guaranteed_j, gyarmati_bound,
+    gyarmati_c, upper_bound, t_new_ns, t_gyarmati_ns.
+    """
 
     p: int
     k: int
-    a_log2: LogMagnitude
+    a_log2: float
     b: float
     new_bound: float
     guaranteed_j: int
     gyarmati_bound: float
     gyarmati_c: float
     upper_bound: float
-    eval_time_new_ns: int
-    eval_time_gyarmati_ns: int
+    t_new_ns: int
+    t_gyarmati_ns: int
 
 
 def _validate_pk(p: int, k: int) -> None:
@@ -88,7 +75,7 @@ def _validate_pk(p: int, k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def compute_A_B(p: int, k: int) -> tuple[LogMagnitude, float]:
+def compute_A_B(p: int, k: int) -> tuple[float, float]:
     """The pair (A, B) driving the Lambert-W bound.
 
     A = (2 p^{k/2} - 2)/(1 + p^{-k/2}), returned as log2(A) without ever
@@ -108,7 +95,7 @@ def compute_A_B(p: int, k: int) -> tuple[LogMagnitude, float]:
     else:
         r = 2.0 ** (log2_of_big(subfield) - half_log2)
     b = (2.0 * r - 2.0) / (1.0 + inv)
-    return LogMagnitude(log2_a), b
+    return log2_a, b
 
 
 def _w_of_pow2(log2_arg: float) -> float:
@@ -125,8 +112,8 @@ def theorem1_bound(p: int, k: int) -> float:
     Evaluated as log2(A) - log2(W(...)) in the log domain, so it stays
     finite and accurate for p^{k/2} far beyond float range.
     """
-    a, b = compute_A_B(p, k)
-    return a.log2_value - math.log2(_w_of_pow2(b + a.log2_value))
+    log2_a, b = compute_A_B(p, k)
+    return log2_a - math.log2(_w_of_pow2(b + log2_a))
 
 
 def _root_log2(log2_a: float, b: float) -> float:
@@ -145,8 +132,7 @@ def guaranteed_j(p: int, k: int) -> int:
     When the root's log2 lands exactly on an integer the strict inequality
     excludes it (a 1e-9 snap guards the float boundary).
     """
-    a, b = compute_A_B(p, k)
-    root_log2 = _root_log2(a.log2_value, b)
+    root_log2 = _root_log2(*compute_A_B(p, k))
     nearest = round(root_log2)
     if abs(root_log2 - nearest) < 1e-9:
         j = nearest - 1
@@ -167,8 +153,7 @@ def lemma4_closed_form(A: float, B: float) -> float:
         raise ValueError(f"A must be positive and finite, got {A}")
     if not math.isfinite(B):
         raise ValueError(f"B must be finite, got {B}")
-    w = _w_of_pow2(B + math.log2(A) + _LOG2_LN2)
-    return A * _LN2 / w
+    return 2.0 ** _root_log2(math.log2(A), B)
 
 
 def lemma4_bisection_root(A: float, B: float, iterations: int = 200) -> float:
@@ -278,17 +263,17 @@ def make_report(p: int, k: int) -> BoundReport:
     t0 = time.perf_counter_ns()
     gy, c = gyarmati_bound(p, k)
     t_gy = time.perf_counter_ns() - t0
-    a, b = compute_A_B(p, k)
+    log2_a, b = compute_A_B(p, k)
     return BoundReport(
         p=p,
         k=k,
-        a_log2=a,
+        a_log2=log2_a,
         b=b,
         new_bound=new_bound,
         guaranteed_j=guaranteed_j(p, k),
         gyarmati_bound=gy,
         gyarmati_c=c,
         upper_bound=upper_bound(p, k),
-        eval_time_new_ns=t_new,
-        eval_time_gyarmati_ns=t_gy,
+        t_new_ns=t_new,
+        t_gyarmati_ns=t_gy,
     )

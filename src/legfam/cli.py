@@ -16,7 +16,8 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, fields, replace
+from operator import attrgetter
 
 from .bounds import (
     BoundReport,
@@ -38,63 +39,24 @@ EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
-CSV_HEADER = (
-    "p,k,new_bound,guaranteed_j,gyarmati_bound,gyarmati_c,upper_bound,"
-    "t_new_ns,t_gyarmati_ns"
-)
-
 
 class UsageError(Exception):
     """Bad flag combinations detected after argparse."""
 
 
-def _fmt(x: float) -> str:
-    # CSV/text contract: '.' decimal separator, 15 significant digits
-    return f"{x:.15g}"
+def _fmt(x: int | float) -> str:
+    # CSV/text contract: '.' decimal separator, 15 significant digits for reals
+    return f"{x:.15g}" if isinstance(x, float) else str(x)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One CSV row of a scan or bench run."""
-
-    p: int
-    k: int
-    new_bound: float
-    guaranteed_j: int
-    gyarmati_bound: float
-    gyarmati_c: float
-    upper_bound: float
-    t_new_ns: int
-    t_gyarmati_ns: int
-
-    def csv(self) -> str:
-        return ",".join(
-            (
-                str(self.p),
-                str(self.k),
-                _fmt(self.new_bound),
-                str(self.guaranteed_j),
-                _fmt(self.gyarmati_bound),
-                _fmt(self.gyarmati_c),
-                _fmt(self.upper_bound),
-                str(self.t_new_ns),
-                str(self.t_gyarmati_ns),
-            )
-        )
+# the CSV row is BoundReport minus the two inputs of the W solve
+_CSV_COLUMNS = tuple(f.name for f in fields(BoundReport) if f.name not in ("a_log2", "b"))
+CSV_HEADER = ",".join(_CSV_COLUMNS)
+_csv_values = attrgetter(*_CSV_COLUMNS)
 
 
-def _report_row(rep: BoundReport, t_new_ns: int | None = None, t_gy_ns: int | None = None) -> ScanRow:
-    return ScanRow(
-        p=rep.p,
-        k=rep.k,
-        new_bound=rep.new_bound,
-        guaranteed_j=rep.guaranteed_j,
-        gyarmati_bound=rep.gyarmati_bound,
-        gyarmati_c=rep.gyarmati_c,
-        upper_bound=rep.upper_bound,
-        t_new_ns=rep.eval_time_new_ns if t_new_ns is None else t_new_ns,
-        t_gyarmati_ns=rep.eval_time_gyarmati_ns if t_gy_ns is None else t_gy_ns,
-    )
+def _csv_row(rep: BoundReport) -> str:
+    return ",".join(map(_fmt, _csv_values(rep)))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -105,8 +67,8 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _emit_rows(rows: list[ScanRow], out: str | None) -> None:
-    _write_text(out, "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n")
+def _emit_rows(reports: list[BoundReport], out: str | None) -> None:
+    _write_text(out, "\n".join([CSV_HEADER] + [_csv_row(r) for r in reports]) + "\n")
 
 
 def _gnuplot_script(csv_path: str, ranged: str, kind: str) -> str:
@@ -130,7 +92,10 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
     """Cells for scan/bench plus which axis is ranged ('p' or 'k').
 
     Exactly one axis must be ranged; a ranged p visits odd primes only.
+    Every grid flag is checked here, before any cell is evaluated.
     """
+    if args.gnuplot and args.out is None:
+        raise UsageError("--gnuplot needs --out (the script references the CSV)")
     ranged_p = args.p_max is not None
     ranged_k = args.k_max is not None
     if ranged_p == ranged_k:
@@ -157,37 +122,19 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
 def cmd_bound(args: argparse.Namespace) -> int:
     rep = make_report(args.p, args.k)
     if args.format == "csv":
-        print(CSV_HEADER)
-        print(_report_row(rep).csv())
-        return EXIT_OK
-    fields = {
-        "p": rep.p,
-        "k": rep.k,
-        "a_log2": rep.a_log2.log2_value,
-        "b": rep.b,
-        "new_bound": rep.new_bound,
-        "guaranteed_j": rep.guaranteed_j,
-        "gyarmati_bound": rep.gyarmati_bound,
-        "gyarmati_c": rep.gyarmati_c,
-        "upper_bound": rep.upper_bound,
-        "t_new_ns": rep.eval_time_new_ns,
-        "t_gyarmati_ns": rep.eval_time_gyarmati_ns,
-    }
-    if args.format == "json":
-        print(json.dumps(fields))
-        return EXIT_OK
-    for key, value in fields.items():
-        print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
+        _emit_rows([rep], None)
+    elif args.format == "json":
+        print(json.dumps(asdict(rep)))
+    else:
+        for key, value in asdict(rep).items():
+            print(f"{key} = {_fmt(value)}")
     return EXIT_OK
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cells, ranged = _grid_cells(args)
-    rows = [_report_row(make_report(p, k)) for p, k in cells]
-    _emit_rows(rows, args.out)
+    _emit_rows([make_report(p, k) for p, k in cells], args.out)
     if args.gnuplot:
-        if args.out is None:
-            raise UsageError("--gnuplot needs --out (the script references the CSV)")
         _write_text(args.out + ".gp", _gnuplot_script(args.out, ranged, "bounds"))
     return EXIT_OK
 
@@ -211,11 +158,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         gyarmati_bound(p, k)
         t_new = _median_time_ns(lambda: theorem1_bound(p, k), args.reps)
         t_gy = _median_time_ns(lambda: gyarmati_bound(p, k), args.reps)
-        rows.append(_report_row(make_report(p, k), t_new_ns=t_new, t_gy_ns=t_gy))
+        rows.append(replace(make_report(p, k), t_new_ns=t_new, t_gyarmati_ns=t_gy))
     _emit_rows(rows, args.out)
     if args.gnuplot:
-        if args.out is None:
-            raise UsageError("--gnuplot needs --out (the script references the CSV)")
         _write_text(args.out + ".gp", _gnuplot_script(args.out, ranged, "times"))
     return EXIT_OK
 

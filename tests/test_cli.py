@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from legfam import cli
-from legfam.bounds import make_report
+from legfam.bounds import BoundReport, make_report
 from legfam.cli import CSV_HEADER, main
 from legfam.ntheory import is_prime
 
@@ -106,7 +107,7 @@ def test_bound_evaluates_the_cell_once(capsys, monkeypatch):
         rep = reports[0]
         if fmt == "csv":
             # the printed row is the one report, timing columns included
-            assert outputs[fmt].splitlines() == [CSV_HEADER, cli._report_row(rep).csv()]
+            assert outputs[fmt].splitlines() == [CSV_HEADER, cli._csv_row(rep)]
     text = dict(line.split(" = ") for line in outputs["text"].strip().splitlines())
     data = json.loads(outputs["json"])
     row = dict(zip(CSV_HEADER.split(","), outputs["csv"].splitlines()[1].split(",")))
@@ -114,6 +115,22 @@ def test_bound_evaluates_the_cell_once(capsys, monkeypatch):
         assert row[key] == text[key], key
         value = data[key]
         assert row[key] == (cli._fmt(value) if isinstance(value, float) else str(value)), key
+
+
+def test_bound_prints_the_one_report_schema(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--p", "7", "--k", "2", "--format", "json")
+    assert code == 0
+    keys = list(json.loads(out))
+    assert keys == [f.name for f in fields(BoundReport)]
+    code, out, _ = run_cli(capsys, "bound", "--p", "7", "--k", "2")
+    assert code == 0
+    assert [line.split(" = ")[0] for line in out.strip().splitlines()] == keys
+    # README documents these columns: a new BoundReport field must not
+    # reach the CSV unnoticed
+    assert CSV_HEADER == (
+        "p,k,new_bound,guaranteed_j,gyarmati_bound,gyarmati_c,upper_bound,"
+        "t_new_ns,t_gyarmati_ns"
+    )
 
 
 def test_scan_over_p_visits_odd_primes_only(capsys):
@@ -184,8 +201,21 @@ def test_scan_gnuplot_script(tmp_path, capsys):
     assert "using 1:3" in script  # ranged axis p is column 1
 
 
-def test_scan_gnuplot_requires_out(capsys):
-    assert run_cli(capsys, "scan", "--k", "2", "--p-max", "10", "--gnuplot")[0] == 1
+def test_scan_gnuplot_requires_out(capsys, monkeypatch):
+    # refused before any cell is evaluated or any row printed
+    calls = []
+
+    def counting_make_report(p, k):
+        calls.append((p, k))
+        return make_report(p, k)
+
+    monkeypatch.setattr(cli, "make_report", counting_make_report)
+    for command in ("scan", "bench"):
+        code, out, err = run_cli(capsys, command, "--k", "2", "--p-max", "10", "--gnuplot")
+        assert code == 1, command
+        assert out == "", command
+        assert "--gnuplot needs --out" in err, command
+    assert calls == []
 
 
 def test_bench_rejects_even_or_small_reps(capsys):
@@ -203,6 +233,20 @@ def test_bench_produces_rows_with_timings(capsys):
     for line in lines[1:]:
         fields = line.split(",")
         assert int(fields[7]) > 0 and int(fields[8]) > 0
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [("--p", "7", "--k-min", "1", "--k-max", "3"), ("--k", "2", "--p-max", "30")],
+)
+def test_bench_rows_equal_scan_rows_but_for_timings(capsys, grid):
+    code, scan_out, _ = run_cli(capsys, "scan", *grid)
+    assert code == 0
+    code, bench_out, _ = run_cli(capsys, "bench", *grid, "--reps", "3")
+    assert code == 0
+    strip = lambda text: [line.rsplit(",", 2)[0] for line in text.splitlines()]
+    assert strip(bench_out) == strip(scan_out)
+    assert len(bench_out.splitlines()) == len(scan_out.splitlines()) > 1
 
 
 def test_crossover_k3(capsys):
