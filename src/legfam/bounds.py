@@ -42,6 +42,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LOG2_LN2 = math.log2(_LN2)
+_BISECTION_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def lemma4_closed_form(A: float, B: float) -> float:
     return 2.0 ** _root_log2(math.log2(A), B)
 
 
-def lemma4_bisection_root(A: float, B: float, iterations: int = 200) -> float:
+def lemma4_bisection_root(A: float, B: float) -> float:
     """Root of B*x + x*log2(x) = A by pure bisection; no Lambert W anywhere.
 
     Kept as an independent cross-check of lemma4_closed_form. The lower
@@ -178,7 +179,7 @@ def lemma4_bisection_root(A: float, B: float, iterations: int = 200) -> float:
     hi = max(2.0 * lo, 2.0)
     while g(hi) <= 0.0:
         hi *= 2.0
-    for _ in range(iterations):
+    for _ in range(_BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
             hi = mid

@@ -39,6 +39,15 @@ __all__ = [
 # keep failure lists readable when something is systematically broken
 _MAX_RECORDED = 20
 
+_GAUSS_IDENTITY_QS = (2, 3, 4, 5, 7, 9)
+_GAUSS_IDENTITY_N_MAX = 12
+_GAUSS_ENUM_LIMIT = 2 ** 14
+_GAUSS_SUBFIELD_LIMIT = 2 ** 10
+
+_COROLLARY1_EXT_LIMIT = 2 ** 12
+_COROLLARY1_PRIME_LIMIT = 1024
+_COROLLARY1_SAMPLE = 64
+
 
 @dataclass
 class CheckReport:
@@ -158,29 +167,23 @@ def check_weil(size_limit: int = 169, j_max: int = 3) -> CheckReport:
     return rep
 
 
-def check_gauss(
-    identity_qs: tuple[int, ...] = (2, 3, 4, 5, 7, 9),
-    identity_n_max: int = 12,
-    enum_limit: int = 2 ** 14,
-    subfield_limit: int = 2 ** 10,
-) -> CheckReport:
+def check_gauss() -> CheckReport:
     """Counting identities for irreducible polynomials.
 
     (a) sum_{d|n} d * I_q(d) = q^n exactly (every monic polynomial factors
     uniquely into monic irreducibles); (b) the closed-form count matches an
-    actual enumeration over F_p up to enum_limit (by default 2^14, which
-    enumerates 48 fields of degree >= 2); (c) the subfield-element
-    count matches brute Frobenius fixed-point counting, alpha^(p^t) = alpha
-    for some proper divisor t, up to subfield_limit.
+    actual enumeration over F_p on every field of size <= 2^14; (c) the
+    subfield-element count matches brute Frobenius fixed-point counting,
+    alpha^(p^t) = alpha for some proper divisor t, up to size 2^10.
     """
     rep = CheckReport("gauss")
-    for q in identity_qs:
-        for m in range(1, identity_n_max + 1):
+    for q in _GAUSS_IDENTITY_QS:
+        for m in range(1, _GAUSS_IDENTITY_N_MAX + 1):
             rep.checked += 1
             total = sum(d * count_irreducibles(q, d) for d in divisors(m))
             if total != q ** m:
                 rep.record(f"identity failed at q={q}, n={m}: {total} != {q ** m}")
-    for p, m in small_fields(enum_limit):
+    for p, m in small_fields(_GAUSS_ENUM_LIMIT):
         rep.checked += 1
         if m == 1:
             # every monic linear is irreducible
@@ -191,7 +194,7 @@ def check_gauss(
         expected = count_irreducibles(p, m)
         if found != expected:
             rep.record(f"enumeration over F_{p} degree {m}: {found} != {expected}")
-    for p, m in small_fields(subfield_limit):
+    for p, m in small_fields(_GAUSS_SUBFIELD_LIMIT):
         rep.checked += 1
         if m == 1:
             if count_subfield_elements(p, 1) != 0:
@@ -210,57 +213,47 @@ def check_gauss(
     return rep
 
 
-def check_corollary1(
-    ext_limit: int = 2 ** 12, prime_limit: int = 1024, op_sample: int = 64
-) -> CheckReport:
+def check_corollary1() -> CheckReport:
     """Compatibility of the extension-field quadratic character with the
     Legendre symbol of the norm.
 
     Prime fields: the reciprocity-based symbol must match Euler's criterion
-    a^((p-1)/2) for every residue. Extension fields: every element's cached
-    character value must equal the Legendre symbol of its norm, with norms
-    generated multiplicatively (norm(g^i) = norm(g)^i) from one honestly
-    exponentiated norm(g); the per-element exponentiation routes quad_char
-    and norm, being quadratically slower, are cross-checked on op_sample
-    deterministic random elements per field plus 0, 1 and x.
+    a^((p-1)/2) for every residue. Extension fields: the character table
+    must equal the Legendre symbol of the norm at every element, read along
+    the field's power table (chi(g^i) against Legendre(norm(g)^i), from one
+    honestly exponentiated norm(g)). quad_char and norm exponentiate per
+    element, which is quadratically slower, so the table is compared with
+    both on 64 deterministic random elements per field plus 0, 1 and x.
     """
     rep = CheckReport("corollary1")
-    for p in primes_up_to(prime_limit):
-        if p == 2:
-            continue
+    for p in primes_up_to(_COROLLARY1_PRIME_LIMIT, 3):
         for a in range(p):
             rep.checked += 1
             e = pow(a, (p - 1) // 2, p)
             euler = 0 if e == 0 else (1 if e == 1 else -1)
             if legendre_symbol(a, p) != euler:
                 rep.record(f"Legendre({a},{p}) disagrees with Euler criterion")
-    for p, k in small_fields(ext_limit):
+    for p, k in small_fields(_COROLLARY1_EXT_LIMIT):
         if k == 1:
             continue
         fld = ExtField(p, k)
         chi = fld.char_table()
         if chi[0] != 0:
             rep.record(f"({p},{k}): chi(0) != 0")
-        g = fld.generator()
-        ng = norm(g)
-        cur = fld.one()
+        ng = norm(fld.generator())
         nval = 1
-        for _ in range(fld.size - 1):
+        for ident in fld.power_ids():
             rep.checked += 1
-            if chi[fld.element_id(cur)] != legendre_symbol(nval, p):
-                rep.record(
-                    f"({p},{k}): chi disagrees with Legendre(norm) at id "
-                    f"{fld.element_id(cur)}"
-                )
-            cur = cur * g
+            if chi[ident] != legendre_symbol(nval, p):
+                rep.record(f"({p},{k}): chi disagrees with Legendre(norm) at id {ident}")
             nval = nval * ng % p
         rng = random.Random(fld.size * 31 + p)
-        ids = {0, 1, p} | {rng.randrange(fld.size) for _ in range(op_sample)}
+        ids = {0, 1, p} | {rng.randrange(fld.size) for _ in range(_COROLLARY1_SAMPLE)}
         for ident in sorted(ids):
             a = fld.from_id(ident)
             rep.checked += 1
-            if quad_char(a) != legendre_symbol(norm(a), p):
-                rep.record(f"({p},{k}): quad_char(id {ident}) != Legendre(norm)")
+            if not chi[ident] == quad_char(a) == legendre_symbol(norm(a), p):
+                rep.record(f"({p},{k}): chi, quad_char and Legendre(norm) disagree at id {ident}")
     return rep
 
 
@@ -270,16 +263,15 @@ DEFAULT_SANDWICH_CELLS: tuple[tuple[int, int], ...] = (
 )
 
 
-def check_sandwich(
-    cells: tuple[tuple[int, int], ...] = DEFAULT_SANDWICH_CELLS
-) -> CheckReport:
-    """Certified j <= exact oracle gamma <= log2(family size) on every cell.
+def check_sandwich() -> CheckReport:
+    """Certified j <= exact oracle gamma <= log2(family size) on every
+    cell of DEFAULT_SANDWICH_CELLS.
 
     Also enforces the trivial bound 2^gamma <= |family| as exact integers
     and, wherever the older bound is positive, gamma >= that bound too.
     """
     rep = CheckReport("sandwich")
-    for p, k in cells:
+    for p, k in DEFAULT_SANDWICH_CELLS:
         fam = build_family(p, k)
         res = family_complexity(fam)
         gj = guaranteed_j(p, k)

@@ -12,12 +12,14 @@ exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import sys
 import time
 from dataclasses import asdict, fields, replace
 from operator import attrgetter
+from typing import TextIO
 
 from .bounds import (
     BoundReport,
@@ -59,16 +61,20 @@ def _csv_row(rep: BoundReport) -> str:
     return ",".join(map(_fmt, _csv_values(rep)))
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    # scan and bench open --out before the first cell, so a bad path costs no work
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _emit_rows(reports: list[BoundReport], out: str | None) -> None:
-    _write_text(out, "\n".join([CSV_HEADER] + [_csv_row(r) for r in reports]) + "\n")
+def _write_text(path: str | None, text: str) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
+
+
+def _emit_rows(reports: list[BoundReport], fh: TextIO) -> None:
+    fh.write("\n".join([CSV_HEADER] + [_csv_row(r) for r in reports]) + "\n")
 
 
 def _gnuplot_script(csv_path: str, ranged: str, kind: str) -> str:
@@ -103,16 +109,16 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
     if ranged_p:
         if args.k is None:
             raise UsageError("--k is required when ranging over p")
-        if args.p is not None:
-            raise UsageError("--p conflicts with --p-min/--p-max")
-        lo = max(3, args.p_min)
+        if args.p is not None or args.k_min is not None:
+            raise UsageError("--p and --k-min conflict with --p-min/--p-max")
+        lo = max(3, args.p_min or 3)
         if args.p_max < lo:
             raise UsageError(f"--p-max must be >= {lo}")
         return [(q, args.k) for q in primes_up_to(args.p_max, lo)], "p"
     if args.p is None:
         raise UsageError("--p is required when ranging over k")
-    if args.k is not None:
-        raise UsageError("--k conflicts with --k-min/--k-max")
+    if args.k is not None or args.p_min is not None:
+        raise UsageError("--k and --p-min conflict with --k-min/--k-max")
     k_lo = args.k_min if args.k_min is not None else 1
     if k_lo < 1 or args.k_max < k_lo:
         raise UsageError("need 1 <= --k-min <= --k-max")
@@ -122,7 +128,7 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
 def cmd_bound(args: argparse.Namespace) -> int:
     rep = make_report(args.p, args.k)
     if args.format == "csv":
-        _emit_rows([rep], None)
+        _emit_rows([rep], sys.stdout)
     elif args.format == "json":
         print(json.dumps(asdict(rep)))
     else:
@@ -133,7 +139,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cells, ranged = _grid_cells(args)
-    _emit_rows([make_report(p, k) for p, k in cells], args.out)
+    with _open_out(args.out) as fh:
+        _emit_rows([make_report(p, k) for p, k in cells], fh)
     if args.gnuplot:
         _write_text(args.out + ".gp", _gnuplot_script(args.out, ranged, "bounds"))
     return EXIT_OK
@@ -152,14 +159,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 3 or args.reps % 2 == 0:
         raise UsageError(f"--reps must be an odd number >= 3, got {args.reps}")
     cells, ranged = _grid_cells(args)
-    rows = []
-    for p, k in cells:
-        theorem1_bound(p, k)  # warmup both code paths before timing
-        gyarmati_bound(p, k)
-        t_new = _median_time_ns(lambda: theorem1_bound(p, k), args.reps)
-        t_gy = _median_time_ns(lambda: gyarmati_bound(p, k), args.reps)
-        rows.append(replace(make_report(p, k), t_new_ns=t_new, t_gyarmati_ns=t_gy))
-    _emit_rows(rows, args.out)
+    with _open_out(args.out) as fh:
+        rows = []
+        for p, k in cells:
+            theorem1_bound(p, k)  # warmup both code paths before timing
+            gyarmati_bound(p, k)
+            t_new = _median_time_ns(lambda: theorem1_bound(p, k), args.reps)
+            t_gy = _median_time_ns(lambda: gyarmati_bound(p, k), args.reps)
+            rows.append(replace(make_report(p, k), t_new_ns=t_new, t_gyarmati_ns=t_gy))
+        _emit_rows(rows, fh)
     if args.gnuplot:
         _write_text(args.out + ".gp", _gnuplot_script(args.out, ranged, "times"))
     return EXIT_OK
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_grid_flags(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--p", type=int, help="fixed prime (when ranging over k)")
         sp.add_argument("--k", type=int, help="fixed degree (when ranging over p)")
-        sp.add_argument("--p-min", type=int, default=3)
+        sp.add_argument("--p-min", type=int)
         sp.add_argument("--p-max", type=int)
         sp.add_argument("--k-min", type=int)
         sp.add_argument("--k-max", type=int)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .ntheory import is_prime
+from .ntheory import divisors, is_prime
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -239,20 +239,6 @@ class PolyModP:
         return f"PolyModP(p={self.p}, {_poly_str(self.coeffs)})"
 
 
-def _prime_factors(k: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
 def _rabin_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     # Rabin's test: x^(p^k) = x mod f, and x^(p^(k/r)) - x coprime to f
     # for every prime r dividing k.
@@ -260,7 +246,7 @@ def _rabin_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     if k == 1:
         return True
     x = (0, 1)
-    for r in _prime_factors(k):
+    for r in filter(is_prime, divisors(k)):
         h = _ppowmod(p, x, p ** (k // r), coeffs)
         if len(_pgcd(p, _psub(p, h, x), coeffs)) != 1:
             return False
@@ -385,7 +371,7 @@ class ExtField:
         self.k = k
         self.modulus = modulus
         self.size = p ** k
-        self._chi: np.ndarray | None = None
+        self._powers: np.ndarray | None = None
 
     def element(self, coeffs: Sequence[int]) -> "ExtFieldElement":
         """Element from prime-field coefficients (lowest first), reduced mod the modulus."""
@@ -424,34 +410,38 @@ class ExtField:
         for ident in range(self.size):
             yield self.from_id(ident)
 
-    def char_table(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        """Quadratic character of every element, indexed by id (int8, 0 at 0).
-
-        Built once per field and cached: for k = 1 from the set of squares,
-        for k >= 2 by walking the powers of a multiplicative generator and
-        alternating signs (squares are exactly the even powers).
+    def power_ids(self) -> np.ndarray:
+        """Ids of g^0, g^1, ..., g^(n-2) for the generator g = generator(),
+        n = p^k: a permutation of the nonzero ids that starts at 1. Walked
+        once per field and cached; refused past DEFAULT_ENUM_BUDGET entries.
         """
-        if self._chi is not None:
-            return self._chi
-        n = self.size
-        if n > budget:
-            raise BudgetExceededError(
-                f"character table needs {n} entries, budget is {budget}"
-            )
-        chi = np.zeros(n, dtype=np.int8)
-        if self.k == 1:
-            squares = {i * i % self.p for i in range(1, self.p)}
-            for a in range(1, self.p):
-                chi[a] = 1 if a in squares else -1
-        else:
+        if self._powers is None:
+            n = self.size
+            if n > DEFAULT_ENUM_BUDGET:
+                raise BudgetExceededError(
+                    f"power table needs {n} entries, budget is {DEFAULT_ENUM_BUDGET}"
+                )
             g = _id_digits(self.p, self._generator_id())
             cur: tuple[int, ...] = (1,)
-            chi[1] = 1
-            for i in range(1, n - 1):
+            powers = np.empty(n - 1, dtype=np.int64)
+            for i in range(n - 1):
+                powers[i] = _digits_id(self.p, cur)
                 cur = _pmod(self.p, _pmul(self.p, cur, g), self.modulus.coeffs)
-                chi[_digits_id(self.p, cur)] = -1 if i & 1 else 1
-            assert int(np.count_nonzero(chi == 1)) == (n - 1) // 2
-        self._chi = chi
+            assert cur == (1,) and (np.bincount(powers, minlength=n)[1:] == 1).all()
+            powers.flags.writeable = False  # every caller shares the cached table
+            self._powers = powers
+        return self._powers
+
+    def char_table(self) -> np.ndarray:
+        """Quadratic character of every element, indexed by id (int8, 0 at 0).
+
+        Read off power_ids(): the nonzero squares are exactly the even
+        powers of the generator, so chi is +1 at g^(2i) and -1 at g^(2i+1).
+        """
+        powers = self.power_ids()
+        chi = np.zeros(self.size, dtype=np.int8)
+        chi[powers[0::2]] = 1
+        chi[powers[1::2]] = -1
         return chi
 
     def generator(self) -> "ExtFieldElement":
@@ -463,7 +453,7 @@ class ExtField:
         # scan ids upward; for k >= 2 constants cannot generate (their order
         # divides p - 1), so the scan starts at id p, the element x
         n = self.size
-        factors = _prime_factors(n - 1)
+        factors = list(filter(is_prime, divisors(n - 1)))
         for ident in range(2 if self.k == 1 else self.p, n):
             cand = _id_digits(self.p, ident)
             if all(
@@ -618,13 +608,12 @@ def pattern_count(
     field: ExtField,
     positions: Sequence[int],
     signs: Sequence[int],
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> int:
     """Number of alpha in F_{p^k} with quad_char(alpha + i) = s for every
     pair (i, s) of a position and a sign.
 
     Positions are residues mod p (distinct after reduction); signs are +-1.
-    Full enumeration of the field, so the usual budget applies.
+    Full enumeration of the field, so char_table's budget applies.
     """
     if len(positions) != len(signs):
         raise ValueError("positions and signs must have equal length")
@@ -637,7 +626,7 @@ def pattern_count(
     for s in signs:
         if s not in (-1, 1):
             raise ValueError(f"signs must be +-1, got {s}")
-    chi = field.char_table(budget)
+    chi = field.char_table()
     pairs = list(zip(pos, signs))
     count = 0
     for ident in range(field.size):

@@ -124,6 +124,21 @@ def test_check_weil_catches_one_flipped_character_value(monkeypatch):
     assert all(f.startswith("(7,2)") for f in rep.failures)
 
 
+def test_check_corollary1_catches_one_flipped_character_value(monkeypatch):
+    table = ExtField.char_table
+
+    def flipped(self):
+        chi = table(self)
+        if (self.p, self.k) == (3, 2):
+            chi[1] = -chi[1]
+        return chi
+
+    monkeypatch.setattr(ExtField, "char_table", flipped)
+    rep = check_corollary1()
+    assert not rep.ok
+    assert all(f.startswith("(3,2)") for f in rep.failures)
+
+
 def test_run_suite_names():
     rep = run_suite("sandwich")
     assert rep.name == "sandwich"

@@ -218,6 +218,41 @@ def test_scan_gnuplot_requires_out(capsys, monkeypatch):
     assert calls == []
 
 
+def test_grid_flags_of_the_other_axis_are_rejected(capsys):
+    for command in ("scan", "bench"):
+        code, out, err = run_cli(capsys, command, "--k", "3", "--p-max", "12", "--k-min", "2")
+        assert (code, out) == (1, ""), command
+        assert "--k-min" in err, command
+        code, out, err = run_cli(capsys, command, "--p", "7", "--k-max", "2", "--p-min", "100")
+        assert (code, out) == (1, ""), command
+        assert "--p-min" in err, command
+
+
+def test_unwritable_out_fails_before_the_first_cell(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_make_report(p, k):
+        calls.append((p, k))
+        return make_report(p, k)
+
+    monkeypatch.setattr(cli, "make_report", counting_make_report)
+    missing = str(tmp_path / "missing" / "rows.csv")
+    for command in ("scan", "bench"):
+        code, out, err = run_cli(capsys, command, "--k", "2", "--p-max", "10", "--out", missing)
+        assert (code, out) == (2, ""), command
+        assert "No such file or directory" in err, command
+    assert calls == []
+
+
+def test_domain_error_after_open_leaves_an_empty_csv(tmp_path, capsys):
+    # 9 is not prime: the first cell fails after --out was opened
+    for command in ("scan", "bench"):
+        out_path = tmp_path / f"{command}.csv"
+        code, _, _ = run_cli(capsys, command, "--p", "9", "--k-max", "2", "--out", str(out_path))
+        assert code == 2, command
+        assert out_path.read_bytes() == b"", command
+
+
 def test_bench_rejects_even_or_small_reps(capsys):
     assert run_cli(capsys, "bench", "--p", "7", "--k-min", "1", "--k-max", "2", "--reps", "2")[0] == 1
     assert run_cli(capsys, "bench", "--p", "7", "--k-min", "1", "--k-max", "2", "--reps", "1")[0] == 1

@@ -258,12 +258,29 @@ def test_quad_char_balance():
 
 
 def test_char_table_matches_quad_char():
-    for p, k in ((3, 1), (13, 1), (3, 2), (5, 2), (3, 3)):
+    for p, k in small_fields(243):
         F = ExtField(p, k)
         table = F.char_table()
         assert len(table) == F.size
         for a in F.elements():
             assert table[F.element_id(a)] == quad_char(a)
+
+
+def test_power_ids_walk_the_generator():
+    # a permutation of the nonzero ids that starts at g^0 = 1, then g = generator()
+    fields = [(p, k) for p, k in small_fields(4096) if k >= 2 or p <= 200]
+    for p, k in fields:
+        F = ExtField(p, k)
+        powers = F.power_ids()
+        assert powers[0] == 1, (p, k)
+        assert sorted(powers.tolist()) == list(range(1, F.size)), (p, k)
+        assert F.generator() == F.from_id(int(powers[1])), (p, k)
+
+
+def test_char_table_budget():
+    # 1031^2 = 1,062,961 entries, past the 2^20 enumeration budget
+    with pytest.raises(BudgetExceededError):
+        ExtField(1031, 2).char_table()
 
 
 def test_tau_is_coefficientwise_frobenius():
