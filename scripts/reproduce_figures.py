@@ -24,6 +24,9 @@ import shutil
 import subprocess
 import sys
 
+# run from a plain checkout too: this checkout's src/ comes first
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
 from legfam.cli import main as legfam_main
 
 

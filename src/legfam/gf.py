@@ -30,10 +30,7 @@ __all__ = [
     "ExtField",
     "ExtFieldElement",
     "norm",
-    "trace",
     "quad_char",
-    "tau",
-    "norm_poly",
     "pattern_count",
 ]
 
@@ -310,14 +307,12 @@ def _irreducible_mask(p: int, k: int) -> np.ndarray:
     return irreducible
 
 
-def enumerate_irreducibles(
-    p: int, k: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> list[PolyModP]:
+def enumerate_irreducibles(p: int, k: int) -> list[PolyModP]:
     """All monic irreducible degree-k polynomials over F_p.
 
     Ordered lexicographically by the coefficient tuple (a_{k-1}, ..., a_0),
     i.e. x^2 + 1 before x^2 + x + 2 before x^2 + 2x + 2 for p = 3. Refuses
-    to scan more than `budget` candidates (p^k of them).
+    to scan more than DEFAULT_ENUM_BUDGET candidates (p^k of them).
 
     The candidates are sieved, not tested one by one: every product of a
     monic irreducible of degree d <= k/2 (sieved the same way) with a
@@ -328,10 +323,10 @@ def enumerate_irreducibles(
     _require_odd_prime(p)
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    if p ** k > budget:
+    if p ** k > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
             f"enumerating degree-{k} polynomials over F_{p} needs {p ** k} "
-            f"candidates, budget is {budget}"
+            f"candidates, budget is {DEFAULT_ENUM_BUDGET}"
         )
     irreducible = _irreducible_mask(p, k)
     step = _SIEVE_BLOCK // (k + 1)
@@ -378,13 +373,13 @@ class ExtField:
         raw = _pmod(
             self.p, _norm([int(c) % self.p for c in coeffs]), self.modulus.coeffs
         )
-        return ExtFieldElement(self, PolyModP(self.p, raw))
+        return ExtFieldElement(self, raw)
 
     def zero(self) -> "ExtFieldElement":
-        return ExtFieldElement(self, PolyModP(self.p, ()))
+        return ExtFieldElement(self, ())
 
     def one(self) -> "ExtFieldElement":
-        return ExtFieldElement(self, PolyModP(self.p, (1,)))
+        return ExtFieldElement(self, (1,))
 
     def gen(self) -> "ExtFieldElement":
         """The residue class of x."""
@@ -394,18 +389,16 @@ class ExtField:
         """Element whose representative has base-p digit expansion `ident`."""
         if not 0 <= ident < self.size:
             raise ValueError(f"element id must lie in [0, {self.size}), got {ident}")
-        return ExtFieldElement(self, PolyModP(self.p, _id_digits(self.p, ident)))
+        return ExtFieldElement(self, _id_digits(self.p, ident))
 
     def element_id(self, a: "ExtFieldElement") -> int:
-        return _digits_id(self.p, a.rep.coeffs)
+        return _digits_id(self.p, a.coeffs)
 
-    def elements(
-        self, budget: int = DEFAULT_ENUM_BUDGET
-    ) -> Iterator["ExtFieldElement"]:
-        """All p^k elements in id order."""
-        if self.size > budget:
+    def elements(self) -> Iterator["ExtFieldElement"]:
+        """All p^k elements in id order; refused past DEFAULT_ENUM_BUDGET."""
+        if self.size > DEFAULT_ENUM_BUDGET:
             raise BudgetExceededError(
-                f"field has {self.size} elements, enumeration budget is {budget}"
+                f"field has {self.size} elements, enumeration budget is {DEFAULT_ENUM_BUDGET}"
             )
         for ident in range(self.size):
             yield self.from_id(ident)
@@ -481,10 +474,11 @@ class ExtField:
 
 @dataclass(frozen=True)
 class ExtFieldElement:
-    """Element of an ExtField; rep is the reduced representative in F_p[x]."""
+    """Element of an ExtField; coeffs is the reduced representative's
+    coefficient tuple (lowest degree first, no trailing zeros)."""
 
     field: ExtField
-    rep: PolyModP
+    coeffs: tuple[int, ...]
 
     def _check_same_field(self, other: "ExtFieldElement") -> None:
         if self.field != other.field:
@@ -494,24 +488,22 @@ class ExtFieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return self.rep.is_zero
+        return not self.coeffs
 
     def __add__(self, other: "ExtFieldElement") -> "ExtFieldElement":
         self._check_same_field(other)
-        return ExtFieldElement(self.field, self.rep + other.rep)
+        return ExtFieldElement(self.field, _padd(self.field.p, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "ExtFieldElement") -> "ExtFieldElement":
         self._check_same_field(other)
-        return ExtFieldElement(self.field, self.rep - other.rep)
+        return ExtFieldElement(self.field, _psub(self.field.p, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "ExtFieldElement") -> "ExtFieldElement":
         self._check_same_field(other)
-        raw = _pmod(
-            self.field.p,
-            _pmul(self.field.p, self.rep.coeffs, other.rep.coeffs),
-            self.field.modulus.coeffs,
+        f = self.field
+        return ExtFieldElement(
+            f, _pmod(f.p, _pmul(f.p, self.coeffs, other.coeffs), f.modulus.coeffs)
         )
-        return ExtFieldElement(self.field, PolyModP(self.field.p, raw))
 
     def __pow__(self, e: int) -> "ExtFieldElement":
         if e < 0:
@@ -519,11 +511,11 @@ class ExtFieldElement:
                 raise ZeroDivisionError("inverse of zero")
             # a^(-1) = a^(size - 2) in the multiplicative group
             e = e % (self.field.size - 1)
-        raw = _ppowmod(self.field.p, self.rep.coeffs, e, self.field.modulus.coeffs)
-        return ExtFieldElement(self.field, PolyModP(self.field.p, raw))
+        f = self.field
+        return ExtFieldElement(f, _ppowmod(f.p, self.coeffs, e, f.modulus.coeffs))
 
     def __repr__(self) -> str:
-        return f"<{_poly_str(self.rep.coeffs)} in GF({self.field.p}^{self.field.k})>"
+        return f"<{_poly_str(self.coeffs)} in GF({self.field.p}^{self.field.k})>"
 
 
 def norm(a: ExtFieldElement) -> int:
@@ -534,21 +526,9 @@ def norm(a: ExtFieldElement) -> int:
     if a.is_zero:
         return 0
     f = a.field
-    r = a ** ((f.size - 1) // (f.p - 1))
-    assert r.rep.degree <= 0, f"norm of {a!r} did not land in the prime field"
-    return r.rep.coeffs[0] if r.rep.coeffs else 0
-
-
-def trace(a: ExtFieldElement) -> int:
-    """Field trace down to F_p: sum of the k Frobenius conjugates."""
-    f = a.field
-    total = a
-    cur = a
-    for _ in range(f.k - 1):
-        cur = cur ** f.p
-        total = total + cur
-    assert total.rep.degree <= 0, f"trace of {a!r} did not land in the prime field"
-    return total.rep.coeffs[0] if total.rep.coeffs else 0
+    c = (a ** ((f.size - 1) // (f.p - 1))).coeffs
+    assert len(c) == 1, f"norm of {a!r} did not land in the prime field"
+    return c[0]
 
 
 def quad_char(a: ExtFieldElement) -> int:
@@ -558,50 +538,9 @@ def quad_char(a: ExtFieldElement) -> int:
     """
     if a.is_zero:
         return 0
-    r = a ** ((a.field.size - 1) // 2)
-    c = r.rep.coeffs
-    assert len(c) == 1 and c[0] in (1, a.field.p - 1), f"chi({a!r}) = {r!r}"
+    c = (a ** ((a.field.size - 1) // 2)).coeffs
+    assert len(c) == 1 and c[0] in (1, a.field.p - 1), f"chi({a!r}) = {c}"
     return 1 if c[0] == 1 else -1
-
-
-def tau(coeffs: Sequence[ExtFieldElement], s: int) -> list[ExtFieldElement]:
-    """Coefficient-wise Frobenius twist: apply c -> c^(p^s) to a polynomial
-    over the extension field (coefficients lowest degree first)."""
-    if not coeffs:
-        raise ValueError("tau needs a nonempty coefficient sequence")
-    f = coeffs[0].field
-    for c in coeffs[1:]:
-        coeffs[0]._check_same_field(c)
-    if s < 0:
-        raise ValueError(f"Frobenius power must be >= 0, got {s}")
-    e = f.p ** (s % f.k)
-    return [c ** e for c in coeffs]
-
-
-def norm_poly(coeffs: Sequence[ExtFieldElement]) -> PolyModP:
-    """Product of all k Frobenius twists of a polynomial over F_{p^k}.
-
-    The product is Galois-invariant, so every coefficient lies in the prime
-    field and the result is returned as a PolyModP. Degree multiplies by k.
-    """
-    if not coeffs:
-        raise ValueError("norm_poly needs a nonempty coefficient sequence")
-    f = coeffs[0].field
-    prod: list[ExtFieldElement] = [f.one()]
-    for s in range(f.k):
-        twisted = tau(coeffs, s)
-        out = [f.zero()] * (len(prod) + len(twisted) - 1)
-        for i, a in enumerate(prod):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(twisted):
-                out[i + j] = out[i + j] + a * b
-        prod = out
-    consts = []
-    for c in prod:
-        assert c.rep.degree <= 0, "norm_poly coefficient escaped the prime field"
-        consts.append(c.rep.coeffs[0] if c.rep.coeffs else 0)
-    return PolyModP(f.p, tuple(consts))
 
 
 def pattern_count(

@@ -115,31 +115,32 @@ class SequenceFamily:
         return len(self.members)
 
 
-def build_family(
-    p: int, k: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> SequenceFamily:
+def build_family(p: int, k: int) -> SequenceFamily:
     """The family of Legendre sequences of all monic irreducible degree-k
     polynomials over F_p.
 
-    Two budget gates: the p^k enumeration candidates, and the total number
-    of stored sequence cells (members times p), which for k = 1 is the
-    binding one since there are p linear polynomials of length p each.
+    Two gates at DEFAULT_ENUM_BUDGET: the p^k enumeration candidates, and
+    the total number of stored sequence cells (members times p), which for
+    k = 1 is the binding one since there are p linear polynomials of
+    length p each.
     """
     _require_odd_prime(p)
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    if p ** k > budget:
+    if p ** k > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"family F({k}, {p}) needs {p ** k} enumeration candidates, budget is {budget}"
+            f"family F({k}, {p}) needs {p ** k} enumeration candidates, "
+            f"budget is {DEFAULT_ENUM_BUDGET}"
         )
     cells = count_irreducibles(p, k) * p
-    if cells > budget:
+    if cells > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"family F({k}, {p}) would store {cells} sequence cells, budget is {budget}"
+            f"family F({k}, {p}) would store {cells} sequence cells, "
+            f"budget is {DEFAULT_ENUM_BUDGET}"
         )
     table = _residue_table(p)
     members = tuple(
         LegendreSequence(p, _sequence_values(f, table), f)
-        for f in enumerate_irreducibles(p, k, budget)
+        for f in enumerate_irreducibles(p, k)
     )
     return SequenceFamily(p, k, members)

@@ -129,7 +129,8 @@ class TinyField:
             self.add = [[(i + j) % r for j in range(r)] for i in range(r)]
             self.mul = [[(i * j) % r for j in range(r)] for i in range(r)]
             return
-        modulus = next(f for f in _monic_tails(r, e) if _fp_irreducible(f, r))
+        # the first monic irreducible in _monic_tails order, lowest degree first
+        self.modulus = modulus = next(f for f in _monic_tails(r, e) if _fp_irreducible(f, r))
         vecs = [self._vec(i) for i in range(q)]
         self.add = [[0] * q for _ in range(q)]
         self.mul = [[0] * q for _ in range(q)]

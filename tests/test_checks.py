@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
+from legfam import checks
 from legfam.bounds import guaranteed_j
 from legfam.checks import (
     CheckReport,
@@ -137,6 +138,18 @@ def test_check_corollary1_catches_one_flipped_character_value(monkeypatch):
     rep = check_corollary1()
     assert not rep.ok
     assert all(f.startswith("(3,2)") for f in rep.failures)
+
+
+def test_check_gauss_catches_one_wrong_count(monkeypatch):
+    # 11 is not one of the identity q's, so only the sieve count sees it
+    count = checks.count_irreducibles
+    monkeypatch.setattr(
+        checks, "count_irreducibles", lambda q, n: count(q, n) + ((q, n) == (11, 2))
+    )
+    rep = check_gauss()
+    assert rep.checked == 2207
+    assert len(rep.failures) == 1 and rep.skipped == 0
+    assert "F_11 degree 2" in rep.failures[0]
 
 
 def test_run_suite_names():

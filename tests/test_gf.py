@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legfam import gf
 from legfam.checks import small_fields
 from legfam.errors import BudgetExceededError
 from legfam.gf import (
@@ -13,14 +14,12 @@ from legfam.gf import (
     enumerate_irreducibles,
     is_irreducible,
     norm,
-    norm_poly,
     pattern_count,
     quad_char,
-    tau,
-    trace,
 )
 from legfam.legendre_seq import legendre_symbol
 from legfam.ntheory import count_irreducibles
+from oracles import TinyField
 
 # the cells of the benchmark's oracle workload
 ORACLE_CELLS = ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3))
@@ -113,9 +112,12 @@ def test_is_irreducible_rejects_non_monic_and_constants():
         is_irreducible(PolyModP(5, (3,)))
 
 
-def test_enumerate_budget():
-    with pytest.raises(BudgetExceededError):
-        enumerate_irreducibles(3, 2, budget=5)
+def test_enumerate_budget(monkeypatch):
+    # 1031^2 = 1,062,961 candidates, past the 2^20 enumeration budget:
+    # refused before the sieve runs
+    monkeypatch.setattr(gf, "_irreducible_mask", None)
+    with pytest.raises(BudgetExceededError, match="1062961 candidates"):
+        enumerate_irreducibles(1031, 2)
 
 
 def rabin_enumeration(p: int, k: int) -> list[tuple[int, ...]]:
@@ -187,8 +189,22 @@ def test_ext_field_element_arithmetic_small():
     # field has no zero divisors
     for a in els:
         for b in els:
-            if not (a.rep.is_zero or b.rep.is_zero):
-                assert not (a * b).rep.is_zero
+            if not (a.is_zero or b.is_zero):
+                assert not (a * b).is_zero
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+def test_element_arithmetic_matches_lookup_table_field(p, k):
+    # TinyField tabulates schoolbook arithmetic modulo the first irreducible
+    # it finds by trial division; both number elements lowest digit first
+    T = TinyField(p ** k)
+    F = ExtField(p, k, modulus=PolyModP(p, T.modulus))
+    els = [F.from_id(i) for i in range(F.size)]
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            assert a + b == els[T.add[i][j]], (p, k, i, j)
+            assert a * b == els[T.mul[i][j]], (p, k, i, j)
+            assert (a - b) + b == a, (p, k, i, j)
 
 
 def test_ext_field_pow_and_inverse():
@@ -218,12 +234,10 @@ def test_norm_trace_land_in_base_field_and_are_homomorphic():
     F = ExtField(5, 2)
     els = list(F.elements())
     for a in els:
-        na, ta = norm(a), trace(a)
-        assert 0 <= na < 5 and 0 <= ta < 5
+        assert 0 <= norm(a) < 5
     for a in els[:12]:
         for b in els[:12]:
             assert norm(a * b) == (norm(a) * norm(b)) % 5
-            assert trace(a + b) == (trace(a) + trace(b)) % 5
 
 
 def test_norm_of_base_field_element_is_power():
@@ -283,39 +297,6 @@ def test_char_table_budget():
         ExtField(1031, 2).char_table()
 
 
-def test_tau_is_coefficientwise_frobenius():
-    F = ExtField(3, 2)
-    g = F.gen()
-    coeffs = (g, F.one(), g * g)
-    twisted = tau(coeffs, 1)
-    for orig, tw in zip(coeffs, twisted):
-        assert tw == orig ** 3
-    # tau_k is the identity
-    assert tau(coeffs, 2) == list(coeffs)
-
-
-def test_norm_poly_of_linear_is_minimal_style_polynomial():
-    # N(x + t) for t primitive: a monic degree-k polynomial over F_p that
-    # kills -t, i.e. the minimal polynomial of -t up to checking the root
-    for p, k in ((3, 2), (5, 2), (3, 3)):
-        F = ExtField(p, k)
-        t = F.generator()
-        f = norm_poly((t, F.one()))
-        assert f.p == p and f.degree == k and f.is_monic
-        minus_t = F.zero() - t
-        acc = F.zero()
-        for c in reversed(f.coeffs):
-            acc = acc * minus_t + F.element((c,))
-        assert acc == F.zero()
-
-
-def test_norm_poly_multiplicative_on_scalars():
-    F = ExtField(5, 2)
-    two = F.from_id(2)
-    f = norm_poly((two,))
-    assert f.coeffs == (pow(2, 2, 5),)
-
-
 def test_pattern_count_matches_brute_force():
     for p, k in ((3, 2), (5, 2), (7, 2)):
         F = ExtField(p, k)
@@ -354,9 +335,9 @@ def test_pattern_count_validates_inputs():
 
 
 def test_elements_budget():
-    F = ExtField(3, 2)
+    # refused before the first element: 1031^2 > 2^20
     with pytest.raises(BudgetExceededError):
-        list(F.elements(budget=4))
+        next(ExtField(1031, 2).elements())
 
 
 @given(st.integers(0, 3 ** 3 - 1), st.integers(0, 3 ** 3 - 1))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legfam.errors import BudgetExceededError
+from legfam import legendre_seq
 from legfam.gf import PolyModP
 from legfam.legendre_seq import (
     LegendreSequence,
@@ -112,9 +113,15 @@ def test_build_family_members_are_distinct():
     assert len({m.values for m in fam.members}) == len(fam.members)
 
 
-def test_build_family_budget():
-    with pytest.raises(BudgetExceededError):
-        build_family(101, 3, budget=10_000)
+def test_build_family_budget(monkeypatch):
+    # both gates refuse before any polynomial is enumerated
+    monkeypatch.setattr(legendre_seq, "enumerate_irreducibles", None)
+    # 1031^2 = 1,062,961 candidates > 2^20
+    with pytest.raises(BudgetExceededError, match="enumeration candidates"):
+        build_family(1031, 2)
+    # 101^3 = 1,030,301 candidates fit, but 343,400 members x 101 cells do not
+    with pytest.raises(BudgetExceededError, match="34683400 sequence cells"):
+        build_family(101, 3)
 
 
 def test_build_family_rejects_bad_p():

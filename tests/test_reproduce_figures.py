@@ -1,7 +1,11 @@
-"""README's gap table is the output of scripts/reproduce_figures.py."""
+"""scripts/reproduce_figures.py: README's gap table is its output, and it runs
+from a plain checkout."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -19,3 +23,13 @@ def test_readme_gap_table_is_the_script_output():
     section = readme.split("## How tight is the bound", 1)[1].split("\n## ", 1)[0]
     table = [line for line in section.splitlines() if line.startswith("|")]
     assert table == _load_script().gap_table().splitlines()
+
+
+def test_script_runs_from_a_plain_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = ROOT / "scripts" / "reproduce_figures.py"
+    res = subprocess.run(
+        [sys.executable, str(script), "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
