@@ -22,7 +22,7 @@ from .bounds import (
 from .checks import CheckReport, check_corollary1, check_gauss, check_weil, run_suite
 from .errors import BudgetExceededError
 from .fcomplexity import ComplexityResult, family_complexity, satisfies_spec
-from .gf import ExtField, ExtFieldElement, PolyModP, enumerate_irreducibles, is_irreducible
+from .gf import ExtField, PolyModP, enumerate_irreducibles, is_irreducible
 from .lambertw import ConvergenceError, WResult, w0_complex, w0_from_log, w0_real
 from .legendre_seq import (
     LegendreSequence,
@@ -51,7 +51,6 @@ __all__ = [
     "ComplexityResult",
     "ConvergenceError",
     "ExtField",
-    "ExtFieldElement",
     "LegendreSequence",
     "PolyModP",
     "SequenceFamily",

@@ -31,6 +31,7 @@ from .bounds import (
 from .checks import SUITES, run_suite
 from .errors import BudgetExceededError
 from .fcomplexity import DEFAULT_CELL_BUDGET, ComplexityBudgetError, family_complexity
+from .gf import DEFAULT_ENUM_BUDGET
 from .lambertw import ConvergenceError, w0_complex, w0_from_log, w0_real
 from .legendre_seq import build_family
 from .ntheory import primes_up_to
@@ -94,11 +95,20 @@ def _gnuplot_script(csv_path: str, ranged: str, kind: str) -> str:
     )
 
 
+def _check_grid_budget(what: str, length: int) -> None:
+    if length > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"the {what} holds {length} values, grid budget is {DEFAULT_ENUM_BUDGET}"
+        )
+
+
 def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
     """Cells for scan/bench plus which axis is ranged ('p' or 'k').
 
     Exactly one axis must be ranged; a ranged p visits odd primes only.
-    Every grid flag is checked here, before any cell is evaluated.
+    Every grid flag is checked here, before any cell is evaluated, and a
+    p window (sieved one byte per integer) or a k range longer than
+    DEFAULT_ENUM_BUDGET is refused before anything is allocated.
     """
     if args.gnuplot and args.out is None:
         raise UsageError("--gnuplot needs --out (the script references the CSV)")
@@ -114,6 +124,7 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
         lo = max(3, args.p_min or 3)
         if args.p_max < lo:
             raise UsageError(f"--p-max must be >= {lo}")
+        _check_grid_budget("p window", args.p_max - lo + 1)
         return [(q, args.k) for q in primes_up_to(args.p_max, lo)], "p"
     if args.p is None:
         raise UsageError("--p is required when ranging over k")
@@ -122,6 +133,7 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
     k_lo = args.k_min if args.k_min is not None else 1
     if k_lo < 1 or args.k_max < k_lo:
         raise UsageError("need 1 <= --k-min <= --k-max")
+    _check_grid_budget("k range", args.k_max - k_lo + 1)
     return [(args.p, k) for k in range(k_lo, args.k_max + 1)], "k"
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "is_irreducible",
     "enumerate_irreducibles",
     "ExtField",
-    "ExtFieldElement",
     "norm",
     "quad_char",
     "pattern_count",
@@ -368,45 +367,20 @@ class ExtField:
         self.size = p ** k
         self._powers: np.ndarray | None = None
 
-    def element(self, coeffs: Sequence[int]) -> "ExtFieldElement":
-        """Element from prime-field coefficients (lowest first), reduced mod the modulus."""
-        raw = _pmod(
-            self.p, _norm([int(c) % self.p for c in coeffs]), self.modulus.coeffs
-        )
-        return ExtFieldElement(self, raw)
-
-    def zero(self) -> "ExtFieldElement":
-        return ExtFieldElement(self, ())
-
-    def one(self) -> "ExtFieldElement":
-        return ExtFieldElement(self, (1,))
-
-    def gen(self) -> "ExtFieldElement":
-        """The residue class of x."""
-        return self.element((0, 1))
-
-    def from_id(self, ident: int) -> "ExtFieldElement":
-        """Element whose representative has base-p digit expansion `ident`."""
-        if not 0 <= ident < self.size:
-            raise ValueError(f"element id must lie in [0, {self.size}), got {ident}")
-        return ExtFieldElement(self, _id_digits(self.p, ident))
-
-    def element_id(self, a: "ExtFieldElement") -> int:
-        return _digits_id(self.p, a.coeffs)
-
-    def elements(self) -> Iterator["ExtFieldElement"]:
-        """All p^k elements in id order; refused past DEFAULT_ENUM_BUDGET."""
+    def elements(self) -> np.ndarray:
+        """Every element as an (n, k) int64 array of base-p digits, lowest
+        degree first, row i holding id i; refused past DEFAULT_ENUM_BUDGET."""
         if self.size > DEFAULT_ENUM_BUDGET:
             raise BudgetExceededError(
                 f"field has {self.size} elements, enumeration budget is {DEFAULT_ENUM_BUDGET}"
             )
-        for ident in range(self.size):
-            yield self.from_id(ident)
+        return _monic_rows(self.p, self.k, np.arange(self.size))[:, : self.k]
 
     def power_ids(self) -> np.ndarray:
-        """Ids of g^0, g^1, ..., g^(n-2) for the generator g = generator(),
-        n = p^k: a permutation of the nonzero ids that starts at 1. Walked
-        once per field and cached; refused past DEFAULT_ENUM_BUDGET entries.
+        """Ids of g^0, g^1, ..., g^(n-2) for the multiplicative generator g
+        of least id, n = p^k: a permutation of the nonzero ids that starts
+        at 1. Walked once per field, in coefficient-tuple arithmetic, and
+        cached; refused past DEFAULT_ENUM_BUDGET entries.
         """
         if self._powers is None:
             n = self.size
@@ -437,11 +411,6 @@ class ExtField:
         chi[powers[1::2]] = -1
         return chi
 
-    def generator(self) -> "ExtFieldElement":
-        """A fixed multiplicative generator of the nonzero elements: the
-        first one in id order."""
-        return self.from_id(self._generator_id())
-
     def _generator_id(self) -> int:
         # scan ids upward; for k >= 2 constants cannot generate (their order
         # divides p - 1), so the scan starts at id p, the element x
@@ -456,91 +425,67 @@ class ExtField:
                 return ident
         raise AssertionError(f"no generator found for F_{self.p}^{self.k}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtField):
-            return NotImplemented
-        return (self.p, self.k, self.modulus.coeffs) == (
-            other.p,
-            other.k,
-            other.modulus.coeffs,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus.coeffs))
-
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, k={self.k}, modulus={_poly_str(self.modulus.coeffs)})"
 
 
-@dataclass(frozen=True)
-class ExtFieldElement:
-    """Element of an ExtField; coeffs is the reduced representative's
-    coefficient tuple (lowest degree first, no trailing zeros)."""
+# ---------------------------------------------------------------------------
+# element arrays: (n, k) int64 base-p digits, lowest degree first
 
-    field: ExtField
-    coeffs: tuple[int, ...]
-
-    def _check_same_field(self, other: "ExtFieldElement") -> None:
-        if self.field != other.field:
-            raise ValueError(
-                f"elements live in different fields: {self.field!r} vs {other.field!r}"
-            )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "ExtFieldElement") -> "ExtFieldElement":
-        self._check_same_field(other)
-        return ExtFieldElement(self.field, _padd(self.field.p, self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "ExtFieldElement") -> "ExtFieldElement":
-        self._check_same_field(other)
-        return ExtFieldElement(self.field, _psub(self.field.p, self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "ExtFieldElement") -> "ExtFieldElement":
-        self._check_same_field(other)
-        f = self.field
-        return ExtFieldElement(
-            f, _pmod(f.p, _pmul(f.p, self.coeffs, other.coeffs), f.modulus.coeffs)
-        )
-
-    def __pow__(self, e: int) -> "ExtFieldElement":
-        if e < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("inverse of zero")
-            # a^(-1) = a^(size - 2) in the multiplicative group
-            e = e % (self.field.size - 1)
-        f = self.field
-        return ExtFieldElement(f, _ppowmod(f.p, self.coeffs, e, f.modulus.coeffs))
-
-    def __repr__(self) -> str:
-        return f"<{_poly_str(self.coeffs)} in GF({self.field.p}^{self.field.k})>"
+def _mul(field: ExtField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # schoolbook product over the columns, then x^d for d = 2k-2 .. k
+    # reduced by x^k = -(m_0 + ... + m_{k-1} x^{k-1}); entries stay below
+    # 2k p^2, which int64 must hold
+    p, k = field.p, field.k
+    if 2 * k * p * p >= 1 << 63:
+        raise ValueError(f"products in F_{p}^{k} overflow int64 element arrays")
+    prod = np.zeros((len(a), 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        prod[:, i : i + k] += a[:, i, None] * b
+    low = np.array(field.modulus.coeffs[:k], dtype=np.int64)
+    for d in range(2 * k - 2, k - 1, -1):
+        prod[:, d - k : d] -= prod[:, d, None] % p * low
+    return prod[:, :k] % p
 
 
-def norm(a: ExtFieldElement) -> int:
-    """Field norm down to F_p, returned as an integer residue.
+def _pow(field: ExtField, a: np.ndarray, e: int) -> np.ndarray:
+    # square-and-multiply, one exponent for every row
+    out = np.zeros_like(a)
+    out[:, 0] = 1
+    while e:
+        if e & 1:
+            out = _mul(field, out, a)
+        e >>= 1
+        if e:
+            a = _mul(field, a, a)
+    return out
 
-    norm(a) = a^((p^k - 1)/(p - 1)); multiplicative, zero only at zero.
+
+def norm(field: ExtField, a: np.ndarray) -> np.ndarray:
+    """Field norm down to F_p of every row of an element array, as residues.
+
+    The product of the k Frobenius conjugates a * a^p * ... * a^(p^(k-1));
+    multiplicative, zero only at zero.
     """
-    if a.is_zero:
-        return 0
-    f = a.field
-    c = (a ** ((f.size - 1) // (f.p - 1))).coeffs
-    assert len(c) == 1, f"norm of {a!r} did not land in the prime field"
-    return c[0]
+    out = conj = a
+    for _ in range(field.k - 1):
+        conj = _pow(field, conj, field.p)
+        out = _mul(field, out, conj)
+    assert not out[:, 1:].any(), f"a norm in F_{field.p}^{field.k} left the prime field"
+    return out[:, 0]
 
 
-def quad_char(a: ExtFieldElement) -> int:
-    """Quadratic character of F_{p^k}: +1 on nonzero squares, -1 otherwise, 0 at 0.
+def quad_char(field: ExtField, a: np.ndarray) -> np.ndarray:
+    """Quadratic character of every row of an element array (int8): +1 on
+    nonzero squares, -1 otherwise, 0 at 0.
 
-    Computed as a^((p^k - 1)/2) by square-and-multiply.
+    Euler's criterion a^((p^k - 1)/2), by square-and-multiply.
     """
-    if a.is_zero:
-        return 0
-    c = (a ** ((a.field.size - 1) // 2)).coeffs
-    assert len(c) == 1 and c[0] in (1, a.field.p - 1), f"chi({a!r}) = {c}"
-    return 1 if c[0] == 1 else -1
+    c = _pow(field, a, (field.size - 1) // 2)
+    assert not c[:, 1:].any() and np.isin(c[:, 0], (0, 1, field.p - 1)).all(), (
+        f"Euler's criterion in F_{field.p}^{field.k} gave a value other than 0, 1 or -1"
+    )
+    return np.where(c[:, 0] == field.p - 1, -1, c[:, 0]).astype(np.int8)
 
 
 def pattern_count(

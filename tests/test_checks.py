@@ -1,6 +1,7 @@
 import itertools
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from legfam import checks
@@ -55,7 +56,9 @@ def test_check_gauss_defaults_pass():
 def test_check_corollary1_defaults_pass():
     rep = check_corollary1()
     assert rep.ok, rep.failures[:3]
-    assert rep.checked > 10_000
+    # every residue of every odd prime <= 1024, every element of every
+    # extension field of size <= 2^12
+    assert rep.checked == 80_187 + 33_887 == 114_074
 
 
 def test_check_sandwich_defaults_pass():
@@ -138,6 +141,48 @@ def test_check_corollary1_catches_one_flipped_character_value(monkeypatch):
     rep = check_corollary1()
     assert not rep.ok
     assert all(f.startswith("(3,2)") for f in rep.failures)
+
+
+def test_check_corollary1_catches_every_element_of_a_digit_swapped_table(monkeypatch):
+    # the power table with each id's k base-p digits reversed: still a
+    # permutation of the nonzero ids, so only the comparison with the
+    # independent routes can tell, and it must tell at every element
+    walk = ExtField.power_ids
+
+    def swap_digits(p, k, ids):
+        digits = ids[:, None] // p ** np.arange(k) % p
+        return digits[:, ::-1] @ p ** np.arange(k)
+
+    def table(n, powers):
+        chi = np.zeros(n, dtype=np.int8)
+        chi[powers[0::2]], chi[powers[1::2]] = 1, -1
+        return chi
+
+    changed = 0
+    for p, k in small_fields(checks._COROLLARY1_EXT_LIMIT):
+        if k >= 2:
+            powers = walk(ExtField(p, k))
+            changed += np.count_nonzero(
+                table(p ** k, powers) != table(p ** k, swap_digits(p, k, powers))
+            )
+    monkeypatch.setattr(
+        ExtField, "power_ids", lambda self: swap_digits(self.p, self.k, walk(self))
+    )
+    rep = check_corollary1()
+    assert not rep.ok
+    assert changed > 0 and len(rep.failures) + rep.skipped == changed
+
+
+def test_check_gauss_catches_a_wrong_subfield_count(monkeypatch):
+    # only part (c) reads count_subfield_elements
+    count = checks.count_subfield_elements
+    monkeypatch.setattr(
+        checks, "count_subfield_elements", lambda p, n: count(p, n) + ((p, n) == (3, 4))
+    )
+    rep = check_gauss()
+    assert rep.checked == 2207
+    assert len(rep.failures) == 1 and rep.skipped == 0
+    assert "F_3^4" in rep.failures[0]
 
 
 def test_check_gauss_catches_one_wrong_count(monkeypatch):

@@ -244,6 +244,28 @@ def test_unwritable_out_fails_before_the_first_cell(tmp_path, capsys, monkeypatc
     assert calls == []
 
 
+def test_huge_grids_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # a p window or k range past DEFAULT_ENUM_BUDGET (2^20) exits 3 before
+    # the sieve runs, the first cell is evaluated or --out is created
+    def refuse(*args):
+        raise AssertionError("work started before the budget gate")
+
+    monkeypatch.setattr(cli, "primes_up_to", refuse)
+    monkeypatch.setattr(cli, "make_report", refuse)
+    out_path = tmp_path / "rows.csv"
+    for command in ("scan", "bench"):
+        for grid in (
+            ("--k", "1", "--p-max", str(10 ** 12)),
+            ("--k", "1", "--p-min", "3", "--p-max", str(3 + 2 ** 20)),
+            ("--p", "3", "--k-max", str(10 ** 12)),
+            ("--p", "3", "--k-min", "2", "--k-max", str(2 + 2 ** 20)),
+        ):
+            code, out, err = run_cli(capsys, command, *grid, "--out", str(out_path))
+            assert (code, out) == (3, ""), (command, grid)
+            assert "grid budget is 1048576" in err, (command, grid)
+    assert not out_path.exists()
+
+
 def test_domain_error_after_open_leaves_an_empty_csv(tmp_path, capsys):
     # 9 is not prime: the first cell fails after --out was opened
     for command in ("scan", "bench"):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,10 @@ from legfam.errors import BudgetExceededError
 from legfam.gf import (
     ExtField,
     PolyModP,
+    _digits_id,
+    _id_digits,
+    _mul,
+    _pow,
     _rabin_irreducible,
     enumerate_irreducibles,
     is_irreducible,
@@ -18,7 +23,7 @@ from legfam.gf import (
     quad_char,
 )
 from legfam.legendre_seq import legendre_symbol
-from legfam.ntheory import count_irreducibles
+from legfam.ntheory import count_irreducibles, divisors, is_prime
 from oracles import TinyField
 
 # the cells of the benchmark's oracle workload
@@ -87,7 +92,7 @@ def test_enumerate_irreducibles_3_2_exact():
 
 
 def test_enumerate_counts_match_formula():
-    from legfam.ntheory import count_irreducibles
+    from legfam.ntheory import count_irreducibles, divisors, is_prime
 
     for p, k in ((3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 4)):
         polys = enumerate_irreducibles(p, k)
@@ -160,15 +165,23 @@ def test_sieve_count_on_large_tables(p, k):
     assert polys[0].degree == polys[-1].degree == k
 
 
+def ids_of(F: ExtField, a: np.ndarray) -> np.ndarray:
+    # row -> element id, the inverse of elements()
+    return a @ F.p ** np.arange(F.k)
+
+
 def test_ext_field_construction_and_ids():
     F = ExtField(3, 2)
     assert F.size == 9
     assert F.modulus.coeffs == (1, 0, 1)
+    els = F.elements()
+    assert els.shape == (9, 2) and els.dtype == np.int64
     for i in range(9):
-        assert F.element_id(F.from_id(i)) == i
-    assert F.zero() == F.from_id(0)
-    assert F.one() == F.from_id(1)
-    assert F.gen() == F.from_id(3)
+        assert _digits_id(3, tuple(els[i].tolist())) == i
+        assert tuple(els[i].tolist()) == (_id_digits(3, i) + (0, 0))[:2]
+    assert els[0].tolist() == [0, 0]  # zero
+    assert els[1].tolist() == [1, 0]  # one
+    assert els[3].tolist() == [0, 1]  # x
 
 
 def test_ext_field_rejects_bad_modulus():
@@ -180,17 +193,14 @@ def test_ext_field_rejects_bad_modulus():
 
 def test_ext_field_element_arithmetic_small():
     F = ExtField(3, 2)
-    els = list(F.elements())
+    els = F.elements()
     assert len(els) == 9
-    for a in els:
-        assert a + F.zero() == a
-        assert a * F.one() == a
-        assert a - a == F.zero()
+    zero, one = np.repeat(els[[0]], 9, axis=0), np.repeat(els[[1]], 9, axis=0)
+    assert (_mul(F, els, one) == els).all()
+    assert not _mul(F, els, zero).any()
     # field has no zero divisors
-    for a in els:
-        for b in els:
-            if not (a.is_zero or b.is_zero):
-                assert not (a * b).is_zero
+    a, b = np.repeat(els[1:], 8, axis=0), np.tile(els[1:], (8, 1))
+    assert _mul(F, a, b).any(axis=1).all()
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
@@ -199,73 +209,79 @@ def test_element_arithmetic_matches_lookup_table_field(p, k):
     # it finds by trial division; both number elements lowest digit first
     T = TinyField(p ** k)
     F = ExtField(p, k, modulus=PolyModP(p, T.modulus))
-    els = [F.from_id(i) for i in range(F.size)]
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            assert a + b == els[T.add[i][j]], (p, k, i, j)
-            assert a * b == els[T.mul[i][j]], (p, k, i, j)
-            assert (a - b) + b == a, (p, k, i, j)
+    els = F.elements()
+    n = F.size
+    a, b = np.repeat(els, n, axis=0), np.tile(els, (n, 1))
+    assert (ids_of(F, (a + b) % p) == np.array(T.add).reshape(-1)).all(), (p, k)
+    assert (ids_of(F, _mul(F, a, b)) == np.array(T.mul).reshape(-1)).all(), (p, k)
 
 
 def test_ext_field_pow_and_inverse():
-    F = ExtField(5, 2)
-    g = F.gen()
-    assert g ** (F.size - 1) == F.one()
-    inv = g ** -1
-    assert g * inv == F.one()
-    with pytest.raises(ZeroDivisionError):
-        F.zero() ** -1
+    for p, k in ((5, 2), (3, 3), (7, 2), (3, 4)):
+        F = ExtField(p, k)
+        a = F.elements()[1:]
+        q = F.size
+        assert (ids_of(F, _pow(F, a, q - 1)) == 1).all(), (p, k)
+        assert (ids_of(F, _mul(F, a, _pow(F, a, q - 2))) == 1).all(), (p, k)
+
+
+def assert_full_order(F: ExtField, ident: int) -> None:
+    # x^((q-1)/r) != 1 for every prime r dividing q - 1
+    x = F.elements()[[ident]]
+    for r in filter(is_prime, divisors(F.size - 1)):
+        assert ids_of(F, _pow(F, x, (F.size - 1) // r))[0] != 1, (F, ident, r)
 
 
 def test_generator_has_full_order():
     for p, k in ((3, 1), (7, 1), (3, 2), (5, 2), (3, 3)):
         F = ExtField(p, k)
-        g = F.generator()
-        n = F.size
-        seen = set()
-        cur = F.one()
-        for _ in range(n - 1):
-            cur = cur * g
-            seen.add(F.element_id(cur))
-        assert len(seen) == n - 1
+        assert_full_order(F, int(F.power_ids()[1]))
 
 
 def test_norm_trace_land_in_base_field_and_are_homomorphic():
     F = ExtField(5, 2)
-    els = list(F.elements())
-    for a in els:
-        assert 0 <= norm(a) < 5
-    for a in els[:12]:
-        for b in els[:12]:
-            assert norm(a * b) == (norm(a) * norm(b)) % 5
+    els = F.elements()
+    n = norm(F, els)
+    assert ((0 <= n) & (n < 5)).all()
+    i, j = np.divmod(np.arange(F.size ** 2), F.size)
+    assert (norm(F, _mul(F, els[i], els[j])) == n[i] * n[j] % 5).all()
 
 
 def test_norm_of_base_field_element_is_power():
     # for c in F_p embedded in F_{p^k}: N(c) = c^k
     for p, k in ((5, 2), (3, 3)):
         F = ExtField(p, k)
-        for c in range(p):
-            a = F.element((c,))
-            assert norm(a) == pow(c, k, p)
+        consts = F.elements()[:p]  # ids 0..p-1 are the constants
+        assert norm(F, consts).tolist() == [pow(c, k, p) for c in range(p)]
 
 
 def test_quad_char_euler_criterion_prime_field():
     F = ExtField(13, 1)
-    for c in range(13):
-        a = F.from_id(c)
-        assert quad_char(a) == legendre_symbol(c, 13)
+    got = quad_char(F, F.elements())
+    assert got.dtype == np.int8
+    assert got.tolist() == [legendre_symbol(c, 13) for c in range(13)]
 
 
 def test_quad_char_is_legendre_of_norm():
     for p, k in ((3, 2), (5, 2), (7, 2), (3, 3)):
         F = ExtField(p, k)
-        for a in F.elements():
-            assert quad_char(a) == legendre_symbol(norm(a), p), (p, k, a)
+        els = F.elements()
+        legendre = np.array([legendre_symbol(c, p) for c in range(p)])
+        assert (quad_char(F, els) == legendre[norm(F, els)]).all(), (p, k)
+
+
+def test_element_arrays_refuse_fields_whose_products_overflow_int64():
+    # 2k p^2 >= 2^63 for this 33-bit prime; the modulus x skips the search
+    p = 4294967311
+    F = ExtField(p, 1, modulus=PolyModP(p, (0, 1)))
+    a = np.array([[p - 1]])
+    with pytest.raises(ValueError, match="overflow"):
+        quad_char(F, a)
 
 
 def test_quad_char_balance():
     F = ExtField(7, 2)
-    vals = [quad_char(a) for a in F.elements()]
+    vals = quad_char(F, F.elements()).tolist()
     assert vals.count(0) == 1
     assert vals.count(1) == (F.size - 1) // 2
     assert vals.count(-1) == (F.size - 1) // 2
@@ -276,30 +292,42 @@ def test_char_table_matches_quad_char():
         F = ExtField(p, k)
         table = F.char_table()
         assert len(table) == F.size
-        for a in F.elements():
-            assert table[F.element_id(a)] == quad_char(a)
+        assert (table == quad_char(F, F.elements())).all(), (p, k)
 
 
 def test_power_ids_walk_the_generator():
-    # a permutation of the nonzero ids that starts at g^0 = 1, then g = generator()
+    # a permutation of the nonzero ids that starts at g^0 = 1, each entry
+    # the array product of the one before and g, and g of full order
     fields = [(p, k) for p, k in small_fields(4096) if k >= 2 or p <= 200]
     for p, k in fields:
         F = ExtField(p, k)
         powers = F.power_ids()
         assert powers[0] == 1, (p, k)
         assert sorted(powers.tolist()) == list(range(1, F.size)), (p, k)
-        assert F.generator() == F.from_id(int(powers[1])), (p, k)
+        els = F.elements()
+        g = np.repeat(els[[powers[1]]], F.size - 2, axis=0)
+        assert (ids_of(F, _mul(F, els[powers[:-1]], g)) == powers[1:]).all(), (p, k)
+        assert_full_order(F, int(powers[1]))
 
 
-def test_char_table_budget():
-    # 1031^2 = 1,062,961 entries, past the 2^20 enumeration budget
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the budget gate")
+
+
+def test_char_table_budget(monkeypatch):
+    # 1031^2 = 1,062,961 entries, past the 2^20 enumeration budget:
+    # refused before the generator search or any digit array
+    F = ExtField(1031, 2)
+    monkeypatch.setattr(ExtField, "_generator_id", refuse_work)
+    monkeypatch.setattr(gf, "_monic_rows", refuse_work)
     with pytest.raises(BudgetExceededError):
-        ExtField(1031, 2).char_table()
+        F.char_table()
 
 
 def test_pattern_count_matches_brute_force():
     for p, k in ((3, 2), (5, 2), (7, 2)):
         F = ExtField(p, k)
+        els = F.elements()
         for positions, signs in (
             ((1, 2), (1, 1)),
             ((1, 2), (1, -1)),
@@ -309,19 +337,13 @@ def test_pattern_count_matches_brute_force():
         ):
             if max(positions) > p:
                 continue
+            hit = np.ones(F.size, dtype=bool)
+            for pos, sign in zip(positions, signs):
+                shifted = els.copy()
+                shifted[:, 0] = (els[:, 0] + pos) % p
+                hit &= quad_char(F, shifted) == sign
             got = pattern_count(F, positions, signs)
-            want = 0
-            for i in range(F.size):
-                a = F.from_id(i)
-                ok = True
-                for pos, sign in zip(positions, signs):
-                    shifted = a + F.element((pos % p,))
-                    if quad_char(shifted) != sign:
-                        ok = False
-                        break
-                if ok:
-                    want += 1
-            assert got == want, (p, k, positions, signs)
+            assert got == np.count_nonzero(hit), (p, k, positions, signs)
 
 
 def test_pattern_count_validates_inputs():
@@ -334,16 +356,20 @@ def test_pattern_count_validates_inputs():
         pattern_count(F, (1,), (1, -1))
 
 
-def test_elements_budget():
-    # refused before the first element: 1031^2 > 2^20
+def test_elements_budget(monkeypatch):
+    # refused before any digit array: 1031^2 > 2^20
+    F = ExtField(1031, 2)
+    monkeypatch.setattr(ExtField, "_generator_id", refuse_work)
+    monkeypatch.setattr(gf, "_monic_rows", refuse_work)
     with pytest.raises(BudgetExceededError):
-        next(ExtField(1031, 2).elements())
+        F.elements()
 
 
 @given(st.integers(0, 3 ** 3 - 1), st.integers(0, 3 ** 3 - 1))
 @settings(max_examples=60)
 def test_field_distributive_law(i, j):
+    # (a + b) c = a c + b c for every c in the field
     F = ExtField(3, 3)
-    a, b = F.from_id(i), F.from_id(j)
-    c = F.gen()
-    assert (a + b) * c == a * c + b * c
+    els = F.elements()
+    a, b = np.repeat(els[[i]], F.size, axis=0), np.repeat(els[[j]], F.size, axis=0)
+    assert (_mul(F, (a + b) % 3, els) == (_mul(F, a, els) + _mul(F, b, els)) % 3).all()
