@@ -28,7 +28,6 @@ from .legendre_seq import (
     LegendreSequence,
     SequenceFamily,
     build_family,
-    build_sequence,
     legendre_symbol,
 )
 from .ntheory import (
@@ -56,7 +55,6 @@ __all__ = [
     "SequenceFamily",
     "WResult",
     "build_family",
-    "build_sequence",
     "check_corollary1",
     "check_gauss",
     "check_weil",

@@ -21,6 +21,7 @@ from .errors import BudgetExceededError
 from .lambertw import w0_from_log, w0_real
 from .ntheory import (
     PRIMALITY_LIMIT,
+    _require_odd_prime,
     count_irreducibles,
     count_subfield_elements,
     is_prime,
@@ -70,8 +71,7 @@ class BoundReport:
 
 
 def _validate_pk(p: int, k: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _require_odd_prime(p)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 

@@ -63,7 +63,7 @@ def _csv_row(rep: BoundReport) -> str:
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
-    # scan and bench open --out before the first cell, so a bad path costs no work
+    # scan, bench and family open --out before any work, so a bad path costs none
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8", newline="\n")
@@ -289,9 +289,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     if not args.dump:
         raise UsageError("family only dumps sequences; pass --dump")
-    fam = build_family(args.p, args.k)
-    lines = [",".join(str(v) for v in member.values) for member in fam.members]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _open_out(args.out) as fh:
+        fam = build_family(args.p, args.k)
+        lines = [",".join(str(v) for v in member.values) for member in fam.members]
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

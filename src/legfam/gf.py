@@ -1,4 +1,4 @@
-"""Dense polynomial arithmetic over F_p and extension fields F_{p^k}.
+"""Polynomials over F_p, their irreducibility, and extension fields F_{p^k}.
 
 Coefficient vectors are stored lowest degree first with no trailing zeros
 (the zero polynomial is the empty tuple). Extension fields are F_p[x]/(m)
@@ -12,15 +12,13 @@ everything downstream consumes does not exist in characteristic 2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .ntheory import divisors, is_prime
+from .ntheory import _require_odd_prime, divisors, is_prime
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -36,12 +34,6 @@ __all__ = [
 DEFAULT_ENUM_BUDGET = 1 << 20
 
 
-@lru_cache(maxsize=None)
-def _require_odd_prime(p: int) -> None:
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"characteristic must be an odd prime, got {p}")
-
-
 # ---------------------------------------------------------------------------
 # raw coefficient-tuple arithmetic (lowest degree first, normalized)
 
@@ -49,15 +41,6 @@ def _norm(cs: list[int]) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def _padd(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _norm(out)
 
 
 def _psub(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -78,29 +61,20 @@ def _pmul(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _norm(out)
 
 
-def _pdivmod(
-    p: int, a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return (), a
+def _pmod(p: int, a: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
+    # remainder of a by a nonzero m, by long division
+    dm = len(m) - 1
+    if len(a) - 1 < dm:
+        return a
     rem = list(a)
-    quot = [0] * (len(a) - db)
-    lead_inv = pow(b[-1], p - 2, p)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = rem[i + db]
+    lead_inv = pow(m[-1], p - 2, p)
+    for i in range(len(a) - dm - 1, -1, -1):
+        c = rem[i + dm]
         if c:
             c = c * lead_inv % p
-            quot[i] = c
-            for t in range(db + 1):
-                rem[i + t] = (rem[i + t] - c * b[t]) % p
-    return _norm(quot), _norm(rem[:db])
-
-
-def _pmod(p: int, a: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
-    return _pdivmod(p, a, m)[1]
+            for t in range(dm + 1):
+                rem[i + t] = (rem[i + t] - c * m[t]) % p
+    return _norm(rem[:dm])
 
 
 def _ppowmod(
@@ -117,11 +91,9 @@ def _ppowmod(
 
 
 def _pgcd(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    # a greatest common divisor, up to a constant factor
     while b:
         a, b = b, _pmod(p, a, b)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
     return a
 
 
@@ -180,36 +152,8 @@ class PolyModP:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def _check_same_p(self, other: "PolyModP") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed characteristics {self.p} and {other.p}")
-
-    def __add__(self, other: "PolyModP") -> "PolyModP":
-        self._check_same_p(other)
-        return PolyModP(self.p, _padd(self.p, self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "PolyModP") -> "PolyModP":
-        self._check_same_p(other)
-        return PolyModP(self.p, _psub(self.p, self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "PolyModP") -> "PolyModP":
-        self._check_same_p(other)
-        return PolyModP(self.p, _pmul(self.p, self.coeffs, other.coeffs))
-
-    def __divmod__(self, other: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
-        self._check_same_p(other)
-        q, r = _pdivmod(self.p, self.coeffs, other.coeffs)
-        return PolyModP(self.p, q), PolyModP(self.p, r)
-
-    def __mod__(self, other: "PolyModP") -> "PolyModP":
-        return divmod(self, other)[1]
 
     def evaluate(self, x: int) -> int:
         """Value at x, reduced into [0, p). Horner scheme."""
@@ -217,16 +161,6 @@ class PolyModP:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % self.p
         return acc
-
-    def derivative(self) -> "PolyModP":
-        return PolyModP(
-            self.p, tuple(d * c % self.p for d, c in enumerate(self.coeffs))[1:]
-        )
-
-    def gcd(self, other: "PolyModP") -> "PolyModP":
-        """Monic greatest common divisor."""
-        self._check_same_p(other)
-        return PolyModP(self.p, _pgcd(self.p, self.coeffs, other.coeffs))
 
     def __str__(self) -> str:
         return _poly_str(self.coeffs)
@@ -260,9 +194,11 @@ def is_irreducible(f: PolyModP) -> bool:
 
 def _monic_irreducibles(p: int, k: int) -> Iterator[tuple[int, ...]]:
     # coefficient tuples (lowest first) in enumerate_irreducibles' order, one
-    # Rabin test each; lazy, so ExtField takes the first without scanning p^k
-    for tail in itertools.product(range(p), repeat=k):
-        coeffs = tuple(reversed(tail)) + (1,)
+    # Rabin test each; ascending tail id is that order, and the walk is lazy
+    # in p and k, so ExtField takes the first without scanning p^k
+    for tail in range(p ** k):
+        digits = _id_digits(p, tail)
+        coeffs = digits + (0,) * (k - len(digits)) + (1,)
         if _rabin_irreducible(p, coeffs):
             yield coeffs
 

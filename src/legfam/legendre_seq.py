@@ -7,13 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
-from .gf import DEFAULT_ENUM_BUDGET, PolyModP, enumerate_irreducibles, _require_odd_prime
-from .ntheory import count_irreducibles
+from .gf import DEFAULT_ENUM_BUDGET, PolyModP, enumerate_irreducibles
+from .ntheory import _require_odd_prime, count_irreducibles
 
 __all__ = [
     "legendre_symbol",
     "LegendreSequence",
-    "build_sequence",
     "SequenceFamily",
     "build_family",
 ]
@@ -66,30 +65,6 @@ class LegendreSequence:
         return self.p
 
 
-def _residue_table(p: int) -> list[int]:
-    # table[a] = (a/p), with the +1 patch at a = 0
-    return [legendre_symbol(a, p) or 1 for a in range(p)]
-
-
-def _sequence_values(f: PolyModP, table: list[int]) -> tuple[int, ...]:
-    p = f.p
-    return tuple(table[f.evaluate(n % p)] for n in range(1, p + 1))
-
-
-def build_sequence(f: PolyModP) -> LegendreSequence:
-    """Legendre sequence of a squarefree polynomial f with deg f >= 1.
-
-    Squarefreeness (gcd(f, f') constant) is required: a square factor makes
-    the symbol pattern degenerate. For f with zero derivative the gcd is f
-    itself, which correctly rejects p-th powers like x^p + c.
-    """
-    if f.degree < 1:
-        raise ValueError(f"polynomial must be nonconstant, got {f!r}")
-    if f.gcd(f.derivative()).degree != 0:
-        raise ValueError(f"polynomial must be squarefree, got {f!r}")
-    return LegendreSequence(f.p, _sequence_values(f, _residue_table(f.p)), f)
-
-
 @dataclass(frozen=True)
 class SequenceFamily:
     """A family of length-p Legendre sequences sharing one prime p.
@@ -138,9 +113,10 @@ def build_family(p: int, k: int) -> SequenceFamily:
             f"family F({k}, {p}) would store {cells} sequence cells, "
             f"budget is {DEFAULT_ENUM_BUDGET}"
         )
-    table = _residue_table(p)
+    # symbol[a] = (a/p), with the +1 patch at a = 0; e_p reads f(0)
+    symbol = [legendre_symbol(a, p) or 1 for a in range(p)]
     members = tuple(
-        LegendreSequence(p, _sequence_values(f, table), f)
+        LegendreSequence(p, tuple(symbol[f.evaluate(n % p)] for n in range(1, p + 1)), f)
         for f in enumerate_irreducibles(p, k)
     )
     return SequenceFamily(p, k, members)

@@ -1,4 +1,5 @@
-"""Integer-side helpers: Moebius function, divisor enumeration, counts of
+"""Integer-side helpers: primality and the odd-prime gate that every entry
+point taking p shares, Moebius function, divisor enumeration, counts of
 monic irreducible polynomials over finite fields, and base-2 logarithms of
 integers far too large for floats.
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 __all__ = [
     "mobius",
@@ -80,6 +82,14 @@ def is_prime(n: int) -> bool:
         f"cannot certify {n} as prime: the Miller-Rabin test is "
         f"deterministic only below {PRIMALITY_LIMIT}"
     )
+
+
+@lru_cache(maxsize=None)
+def _require_odd_prime(p: int) -> None:
+    """The one odd-prime gate of every entry point: ValueError unless p is
+    an odd prime. Cached per p, so a scan tests each prime once."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def primes_up_to(n: int, lo: int = 2) -> list[int]:

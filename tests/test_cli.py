@@ -231,16 +231,24 @@ def test_grid_flags_of_the_other_axis_are_rejected(capsys):
 def test_unwritable_out_fails_before_the_first_cell(tmp_path, capsys, monkeypatch):
     calls = []
 
-    def counting_make_report(p, k):
-        calls.append((p, k))
-        return make_report(p, k)
+    def counting(fn):
+        def wrapper(p, k):
+            calls.append((fn.__name__, p, k))
+            return fn(p, k)
 
-    monkeypatch.setattr(cli, "make_report", counting_make_report)
+        return wrapper
+
+    monkeypatch.setattr(cli, "make_report", counting(make_report))
+    monkeypatch.setattr(cli, "build_family", counting(cli.build_family))
     missing = str(tmp_path / "missing" / "rows.csv")
-    for command in ("scan", "bench"):
-        code, out, err = run_cli(capsys, command, "--k", "2", "--p-max", "10", "--out", missing)
-        assert (code, out) == (2, ""), command
-        assert "No such file or directory" in err, command
+    for argv in (
+        ("scan", "--k", "2", "--p-max", "10"),
+        ("bench", "--k", "2", "--p-max", "10"),
+        ("family", "--p", "3", "--k", "2", "--dump"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--out", missing)
+        assert (code, out) == (2, ""), argv
+        assert "No such file or directory" in err, argv
     assert calls == []
 
 

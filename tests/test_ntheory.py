@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legfam import bounds, gf, legendre_seq, ntheory
 from legfam.ntheory import (
     PRIMALITY_LIMIT,
     _MR_BASES,
@@ -253,3 +254,43 @@ def test_log2_of_big_rejects_nonpositive():
         log2_of_big(0)
     with pytest.raises(ValueError):
         log2_of_big(-5)
+
+
+# every entry point that takes p, as a call at degree 2 (or residue 1)
+GATED_ENTRY_POINTS = {
+    "compute_A_B": lambda p: bounds.compute_A_B(p, 2),
+    "theorem1_bound": lambda p: bounds.theorem1_bound(p, 2),
+    "guaranteed_j": lambda p: bounds.guaranteed_j(p, 2),
+    "gyarmati_bound": lambda p: bounds.gyarmati_bound(p, 2),
+    "upper_bound": lambda p: bounds.upper_bound(p, 2),
+    "make_report": lambda p: bounds.make_report(p, 2),
+    "enumerate_irreducibles": lambda p: gf.enumerate_irreducibles(p, 2),
+    "ExtField": lambda p: gf.ExtField(p, 2),
+    "build_family": lambda p: legendre_seq.build_family(p, 2),
+    "PolyModP": lambda p: gf.PolyModP(p, (1, 1)),
+    "legendre_symbol": lambda p: legendre_seq.legendre_symbol(1, p),
+}
+
+
+@pytest.mark.parametrize("name", GATED_ENTRY_POINTS)
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
+def test_every_entry_point_rejects_p_through_one_gate(p, name):
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        GATED_ENTRY_POINTS[name](p)
+
+
+def test_make_report_tests_p_once_per_subfield_count(monkeypatch):
+    # the gate is cached per p, so after a warm-up only the prime-power
+    # checks of count_subfield_elements reach is_prime: 3 from compute_A_B
+    # and 1 from upper_bound
+    bounds.make_report(2128240847, 2000)
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (ntheory, bounds, gf):
+        monkeypatch.setattr(module, "is_prime", counting_is_prime)
+    bounds.make_report(2128240847, 2000)
+    assert calls == [2128240847] * 4
