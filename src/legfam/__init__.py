@@ -22,7 +22,7 @@ from .bounds import (
 from .checks import CheckReport, check_corollary1, check_gauss, check_weil, run_suite
 from .errors import BudgetExceededError
 from .fcomplexity import ComplexityResult, family_complexity, satisfies_spec
-from .gf import ExtField, PolyModP, enumerate_irreducibles, is_irreducible
+from .gf import ExtField, PolyModP, enumerate_irreducibles
 from .lambertw import ConvergenceError, WResult, w0_complex, w0_from_log, w0_real
 from .legendre_seq import (
     LegendreSequence,
@@ -67,7 +67,6 @@ __all__ = [
     "family_complexity",
     "guaranteed_j",
     "gyarmati_bound",
-    "is_irreducible",
     "is_prime",
     "is_prime_power",
     "legendre_symbol",

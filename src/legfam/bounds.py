@@ -21,7 +21,8 @@ from .errors import BudgetExceededError
 from .lambertw import w0_from_log, w0_real
 from .ntheory import (
     PRIMALITY_LIMIT,
-    _require_odd_prime,
+    _require_cell,
+    _require_degree,
     count_irreducibles,
     count_subfield_elements,
     is_prime,
@@ -70,12 +71,6 @@ class BoundReport:
     t_gyarmati_ns: int
 
 
-def _validate_pk(p: int, k: int) -> None:
-    _require_odd_prime(p)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 def compute_A_B(p: int, k: int) -> tuple[float, float]:
     """The pair (A, B) driving the Lambert-W bound.
 
@@ -86,7 +81,7 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     for even k its two leading terms cancel to relative size p^{-k/6} and
     a floating-point divisor sum would lose every significant digit.
     """
-    _validate_pk(p, k)
+    _require_cell(p, k)
     half_log2 = 0.5 * k * math.log2(p)
     inv = 2.0 ** (-half_log2)  # p^{-k/2}; harmless underflow to 0 for huge p^k
     log2_a = 1.0 + half_log2 + math.log1p(-inv) / _LN2 - math.log1p(inv) / _LN2
@@ -142,6 +137,13 @@ def guaranteed_j(p: int, k: int) -> int:
     return max(0, min(p, j))
 
 
+def _require_lemma4_inputs(A: float, B: float) -> None:
+    if not (math.isfinite(A) and A > 0.0):
+        raise ValueError(f"A must be positive and finite, got {A}")
+    if not math.isfinite(B):
+        raise ValueError(f"B must be finite, got {B}")
+
+
 def lemma4_closed_form(A: float, B: float) -> float:
     """The unique positive root of B*x + x*log2(x) = A, for A > 0.
 
@@ -150,10 +152,7 @@ def lemma4_closed_form(A: float, B: float) -> float:
     x = A ln2 / W(2^B A ln2). The ln2 factors matter: the equation is in
     log base 2 while W inverts the natural-log form.
     """
-    if not (math.isfinite(A) and A > 0.0):
-        raise ValueError(f"A must be positive and finite, got {A}")
-    if not math.isfinite(B):
-        raise ValueError(f"B must be finite, got {B}")
+    _require_lemma4_inputs(A, B)
     return 2.0 ** _root_log2(math.log2(A), B)
 
 
@@ -165,10 +164,7 @@ def lemma4_bisection_root(A: float, B: float) -> float:
     and g is increasing past its single minimum, so doubling the upper
     end is guaranteed to bracket.
     """
-    if not (math.isfinite(A) and A > 0.0):
-        raise ValueError(f"A must be positive and finite, got {A}")
-    if not math.isfinite(B):
-        raise ValueError(f"B must be finite, got {B}")
+    _require_lemma4_inputs(A, B)
     lo = 2.0 ** (-B - 2.0)
     if not math.isfinite(lo):
         raise ValueError(f"B = {B} puts the bracket outside float range")
@@ -204,14 +200,14 @@ def gyarmati_bound(p: int, k: int) -> tuple[float, float]:
     base-independent form of (k - c)/(2 log 2) * log p. Negative for every
     small p at k = 1.
     """
-    _validate_pk(p, k)
+    _require_cell(p, k)
     return _gyarmati(p, k)
 
 
 def upper_bound(p: int, k: int) -> float:
     """log2 of the family size: gamma can never exceed this since realizing
     every pattern at j positions takes at least 2^j distinct members."""
-    _validate_pk(p, k)
+    _require_cell(p, k)
     return log2_of_big(count_irreducibles(p, k))
 
 
@@ -227,8 +223,7 @@ def crossover_prime(k: int, p_limit: int = 2 ** 32) -> int:
     by a relative 5e-12 or more per step of 2, far above rounding), and a
     Miller-Rabin walk up from n* finds the first prime.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_degree(k)
 
     def positive(n: int) -> bool:
         return _gyarmati(n, k)[0] > 0.0

@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import stat
 import statistics
 import sys
 import time
 from dataclasses import asdict, fields, replace
 from operator import attrgetter
-from typing import TextIO
+from typing import Callable, Iterator
 
 from .bounds import (
     BoundReport,
@@ -31,7 +33,7 @@ from .bounds import (
 from .checks import SUITES, run_suite
 from .errors import BudgetExceededError
 from .fcomplexity import DEFAULT_CELL_BUDGET, ComplexityBudgetError, family_complexity
-from .gf import DEFAULT_ENUM_BUDGET
+from .gf import _require_budget
 from .lambertw import ConvergenceError, w0_complex, w0_from_log, w0_real
 from .legendre_seq import build_family
 from .ntheory import primes_up_to
@@ -62,20 +64,42 @@ def _csv_row(rep: BoundReport) -> str:
     return ",".join(map(_fmt, _csv_values(rep)))
 
 
-def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
-    # scan, bench and family open --out before any work, so a bad path costs none
+@contextlib.contextmanager
+def _open_out(path: str | None) -> Iterator[Callable[[str], None]]:
+    """Yield the one write of a command's whole output, to PATH or stdout.
+
+    scan, bench and family open --out before any work, so a bad path costs
+    none. PATH is opened for appending, which neither truncates it nor
+    replaces it (a symlink, a device or a FIFO is written through), and a
+    regular file is emptied only at the write: a refusal or a domain error
+    leaves PATH as it was, or removes it if the command created it.
+    """
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="\n")
+        yield sys.stdout.write
+        return
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8", newline="\n") as fh:
+
+        def write(text: str) -> None:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+            fh.write(text)
+
+        try:
+            yield write
+        except BaseException:
+            if not existed:
+                os.unlink(path)
+            raise
 
 
 def _write_text(path: str | None, text: str) -> None:
-    with _open_out(path) as fh:
-        fh.write(text)
+    with _open_out(path) as write:
+        write(text)
 
 
-def _emit_rows(reports: list[BoundReport], fh: TextIO) -> None:
-    fh.write("\n".join([CSV_HEADER] + [_csv_row(r) for r in reports]) + "\n")
+def _emit_rows(reports: list[BoundReport], write: Callable[[str], None]) -> None:
+    write("\n".join([CSV_HEADER] + [_csv_row(r) for r in reports]) + "\n")
 
 
 def _gnuplot_script(csv_path: str, ranged: str, kind: str) -> str:
@@ -93,13 +117,6 @@ def _gnuplot_script(csv_path: str, ranged: str, kind: str) -> str:
         f"plot '{csv_path}' every ::1 using {xcol}:(($8-$9)/1e9) with lines "
         "title 'new minus previous'\n"
     )
-
-
-def _check_grid_budget(what: str, length: int) -> None:
-    if length > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"the {what} holds {length} values, grid budget is {DEFAULT_ENUM_BUDGET}"
-        )
 
 
 def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
@@ -124,7 +141,7 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
         lo = max(3, args.p_min or 3)
         if args.p_max < lo:
             raise UsageError(f"--p-max must be >= {lo}")
-        _check_grid_budget("p window", args.p_max - lo + 1)
+        _require_budget("the p window", args.p_max - lo + 1, "values")
         return [(q, args.k) for q in primes_up_to(args.p_max, lo)], "p"
     if args.p is None:
         raise UsageError("--p is required when ranging over k")
@@ -133,14 +150,14 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
     k_lo = args.k_min if args.k_min is not None else 1
     if k_lo < 1 or args.k_max < k_lo:
         raise UsageError("need 1 <= --k-min <= --k-max")
-    _check_grid_budget("k range", args.k_max - k_lo + 1)
+    _require_budget("the k range", args.k_max - k_lo + 1, "values")
     return [(args.p, k) for k in range(k_lo, args.k_max + 1)], "k"
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     rep = make_report(args.p, args.k)
     if args.format == "csv":
-        _emit_rows([rep], sys.stdout)
+        _emit_rows([rep], sys.stdout.write)
     elif args.format == "json":
         print(json.dumps(asdict(rep)))
     else:
@@ -151,8 +168,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cells, ranged = _grid_cells(args)
-    with _open_out(args.out) as fh:
-        _emit_rows([make_report(p, k) for p, k in cells], fh)
+    with _open_out(args.out) as write:
+        _emit_rows([make_report(p, k) for p, k in cells], write)
     if args.gnuplot:
         _write_text(args.out + ".gp", _gnuplot_script(args.out, ranged, "bounds"))
     return EXIT_OK
@@ -171,7 +188,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 3 or args.reps % 2 == 0:
         raise UsageError(f"--reps must be an odd number >= 3, got {args.reps}")
     cells, ranged = _grid_cells(args)
-    with _open_out(args.out) as fh:
+    with _open_out(args.out) as write:
         rows = []
         for p, k in cells:
             theorem1_bound(p, k)  # warmup both code paths before timing
@@ -179,7 +196,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             t_new = _median_time_ns(lambda: theorem1_bound(p, k), args.reps)
             t_gy = _median_time_ns(lambda: gyarmati_bound(p, k), args.reps)
             rows.append(replace(make_report(p, k), t_new_ns=t_new, t_gyarmati_ns=t_gy))
-        _emit_rows(rows, fh)
+        _emit_rows(rows, write)
     if args.gnuplot:
         _write_text(args.out + ".gp", _gnuplot_script(args.out, ranged, "times"))
     return EXIT_OK
@@ -289,10 +306,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     if not args.dump:
         raise UsageError("family only dumps sequences; pass --dump")
-    with _open_out(args.out) as fh:
+    with _open_out(args.out) as write:
         fam = build_family(args.p, args.k)
         lines = [",".join(str(v) for v in member.values) for member in fam.members]
-        fh.write("\n".join(lines) + "\n")
+        write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

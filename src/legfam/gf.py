@@ -18,12 +18,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .ntheory import _require_odd_prime, divisors, is_prime
+from .ntheory import _require_cell, _require_odd_prime, divisors, is_prime
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
     "PolyModP",
-    "is_irreducible",
     "enumerate_irreducibles",
     "ExtField",
     "norm",
@@ -32,6 +31,19 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BUDGET = 1 << 20
+
+
+def _require_budget(what: str, size: int, unit: str) -> None:
+    """The one budget gate: BudgetExceededError when work of `size` units
+    would pass DEFAULT_ENUM_BUDGET, raised before any of it starts.
+
+    A size past 10^18 is shown as a power of two it reaches, since Python
+    refuses to print an int of more than 4300 digits at all."""
+    if size > DEFAULT_ENUM_BUDGET:
+        shown = size if size < 10 ** 18 else f"at least 2^{size.bit_length() - 1}"
+        raise BudgetExceededError(
+            f"{what} needs {shown} {unit}, budget is {DEFAULT_ENUM_BUDGET}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +195,6 @@ def _rabin_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     return _ppowmod(p, x, p ** k, coeffs) == x
 
 
-def is_irreducible(f: PolyModP) -> bool:
-    """Rabin irreducibility test for monic f of degree >= 1."""
-    if f.degree < 1:
-        raise ValueError(f"degree must be >= 1, got {f!r}")
-    if not f.is_monic:
-        raise ValueError(f"irreducibility test expects a monic polynomial, got {f!r}")
-    return _rabin_irreducible(f.p, f.coeffs)
-
-
 def _monic_irreducibles(p: int, k: int) -> Iterator[tuple[int, ...]]:
     # coefficient tuples (lowest first) in enumerate_irreducibles' order, one
     # Rabin test each; ascending tail id is that order, and the walk is lazy
@@ -253,16 +256,10 @@ def enumerate_irreducibles(p: int, k: int) -> list[PolyModP]:
     monic irreducible of degree d <= k/2 (sieved the same way) with a
     monic polynomial of degree k - d is marked reducible in a table of p^k
     flags, with numpy computing the products in blocks of 2^14. Rabin's
-    test stays behind is_irreducible and ExtField's modulus.
+    test stays behind ExtField's modulus.
     """
-    _require_odd_prime(p)
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
-    if p ** k > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"enumerating degree-{k} polynomials over F_{p} needs {p ** k} "
-            f"candidates, budget is {DEFAULT_ENUM_BUDGET}"
-        )
+    _require_cell(p, k)
+    _require_budget(f"enumerating degree-{k} polynomials over F_{p}", p ** k, "candidates")
     irreducible = _irreducible_mask(p, k)
     step = _SIEVE_BLOCK // (k + 1)
     out = []
@@ -285,9 +282,7 @@ class ExtField:
     """
 
     def __init__(self, p: int, k: int, modulus: PolyModP | None = None):
-        _require_odd_prime(p)
-        if k < 1:
-            raise ValueError(f"extension degree must be >= 1, got {k}")
+        _require_cell(p, k)
         if modulus is None:
             modulus = PolyModP(p, next(_monic_irreducibles(p, k)))
         else:
@@ -306,10 +301,7 @@ class ExtField:
     def elements(self) -> np.ndarray:
         """Every element as an (n, k) int64 array of base-p digits, lowest
         degree first, row i holding id i; refused past DEFAULT_ENUM_BUDGET."""
-        if self.size > DEFAULT_ENUM_BUDGET:
-            raise BudgetExceededError(
-                f"field has {self.size} elements, enumeration budget is {DEFAULT_ENUM_BUDGET}"
-            )
+        _require_budget(f"enumerating F_{self.p}^{self.k}", self.size, "elements")
         return _monic_rows(self.p, self.k, np.arange(self.size))[:, : self.k]
 
     def power_ids(self) -> np.ndarray:
@@ -320,10 +312,7 @@ class ExtField:
         """
         if self._powers is None:
             n = self.size
-            if n > DEFAULT_ENUM_BUDGET:
-                raise BudgetExceededError(
-                    f"power table needs {n} entries, budget is {DEFAULT_ENUM_BUDGET}"
-                )
+            _require_budget("power table", n, "entries")
             g = _id_digits(self.p, self._generator_id())
             cur: tuple[int, ...] = (1,)
             powers = np.empty(n - 1, dtype=np.int64)

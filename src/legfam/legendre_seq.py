@@ -6,9 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError
-from .gf import DEFAULT_ENUM_BUDGET, PolyModP, enumerate_irreducibles
-from .ntheory import _require_odd_prime, count_irreducibles
+from .gf import PolyModP, _require_budget, enumerate_irreducibles
+from .ntheory import _require_cell, _require_odd_prime, count_irreducibles
 
 __all__ = [
     "legendre_symbol",
@@ -79,9 +78,7 @@ class SequenceFamily:
     members: tuple[LegendreSequence, ...]
 
     def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
-        if self.k < 1:
-            raise ValueError(f"degree must be >= 1, got {self.k}")
+        _require_cell(self.p, self.k)
         for m in self.members:
             if m.p != self.p:
                 raise ValueError(f"member prime {m.p} != family prime {self.p}")
@@ -94,25 +91,14 @@ def build_family(p: int, k: int) -> SequenceFamily:
     """The family of Legendre sequences of all monic irreducible degree-k
     polynomials over F_p.
 
-    Two gates at DEFAULT_ENUM_BUDGET: the p^k enumeration candidates, and
-    the total number of stored sequence cells (members times p), which for
-    k = 1 is the binding one since there are p linear polynomials of
-    length p each.
+    Two gates at DEFAULT_ENUM_BUDGET, both before any polynomial is
+    sieved: the total number of stored sequence cells (members times p),
+    which for k = 1 is the binding one since there are p linear
+    polynomials of length p each, and enumerate_irreducibles' own gate on
+    the p^k candidates.
     """
-    _require_odd_prime(p)
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
-    if p ** k > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"family F({k}, {p}) needs {p ** k} enumeration candidates, "
-            f"budget is {DEFAULT_ENUM_BUDGET}"
-        )
-    cells = count_irreducibles(p, k) * p
-    if cells > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"family F({k}, {p}) would store {cells} sequence cells, "
-            f"budget is {DEFAULT_ENUM_BUDGET}"
-        )
+    _require_cell(p, k)
+    _require_budget(f"family F({k}, {p})", count_irreducibles(p, k) * p, "sequence cells")
     # symbol[a] = (a/p), with the +1 patch at a = 0; e_p reads f(0)
     symbol = [legendre_symbol(a, p) or 1 for a in range(p)]
     members = tuple(

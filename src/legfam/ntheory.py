@@ -1,7 +1,7 @@
-"""Integer-side helpers: primality and the odd-prime gate that every entry
-point taking p shares, Moebius function, divisor enumeration, counts of
-monic irreducible polynomials over finite fields, and base-2 logarithms of
-integers far too large for floats.
+"""Integer-side helpers: primality and the odd-prime and degree gates that
+every entry point taking p or k shares, Moebius function, divisor
+enumeration, counts of monic irreducible polynomials over finite fields,
+and base-2 logarithms of integers far too large for floats.
 
 Everything except log2_of_big is exact integer arithmetic.
 """
@@ -90,6 +90,18 @@ def _require_odd_prime(p: int) -> None:
     an odd prime. Cached per p, so a scan tests each prime once."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+
+
+def _require_degree(k: int) -> None:
+    """The one degree gate of every entry point: ValueError unless k >= 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _require_cell(p: int, k: int) -> None:
+    """The gate of every entry point that takes a cell (p, k)."""
+    _require_odd_prime(p)
+    _require_degree(k)
 
 
 def primes_up_to(n: int, lo: int = 2) -> list[int]:
@@ -193,8 +205,7 @@ def count_subfield_elements(q: int, n: int) -> int:
     for the least prime r dividing n), so q^n itself is never built.
     Exact for any size; the result can be thousands of bits long.
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    _require_degree(n)
     if is_prime_power(q) is None:
         raise ValueError(f"field order must be a prime power, got {q}")
     return -sum(mu * q ** (n // d) for d in divisors(n)[1:] if (mu := mobius(d)))

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from dataclasses import fields
 
 import pytest
@@ -191,11 +193,15 @@ def test_scan_out_file_lf_and_utf8(tmp_path, capsys):
 
 
 def test_scan_gnuplot_script(tmp_path, capsys):
+    # a successful run rewrites an existing CSV and leaves no other file
     out_path = tmp_path / "rows.csv"
+    out_path.write_bytes(b"old\n")
     code, _, _ = run_cli(
         capsys, "scan", "--k", "2", "--p-max", "10", "--out", str(out_path), "--gnuplot"
     )
     assert code == 0
+    assert out_path.read_text().startswith(CSV_HEADER + "\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["rows.csv", "rows.csv.gp"]
     script = (tmp_path / "rows.csv.gp").read_text()
     assert "plot" in script and str(out_path) in script
     assert "using 1:3" in script  # ranged axis p is column 1
@@ -246,10 +252,12 @@ def test_unwritable_out_fails_before_the_first_cell(tmp_path, capsys, monkeypatc
         ("bench", "--k", "2", "--p-max", "10"),
         ("family", "--p", "3", "--k", "2", "--dump"),
     ):
-        code, out, err = run_cli(capsys, *argv, "--out", missing)
-        assert (code, out) == (2, ""), argv
-        assert "No such file or directory" in err, argv
+        for path, reason in ((missing, "No such file or directory"), (str(tmp_path), "Is a directory")):
+            code, out, err = run_cli(capsys, *argv, "--out", path)
+            assert (code, out) == (2, ""), (argv, path)
+            assert reason in err, (argv, path)
     assert calls == []
+    assert [f.name for f in tmp_path.iterdir()] == []
 
 
 def test_huge_grids_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
@@ -262,25 +270,68 @@ def test_huge_grids_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "make_report", refuse)
     out_path = tmp_path / "rows.csv"
     for command in ("scan", "bench"):
-        for grid in (
-            ("--k", "1", "--p-max", str(10 ** 12)),
-            ("--k", "1", "--p-min", "3", "--p-max", str(3 + 2 ** 20)),
-            ("--p", "3", "--k-max", str(10 ** 12)),
-            ("--p", "3", "--k-min", "2", "--k-max", str(2 + 2 ** 20)),
+        for grid, size in (
+            (("--k", "1", "--p-max", str(10 ** 12)), 10 ** 12 - 2),
+            (("--k", "1", "--p-min", "3", "--p-max", str(3 + 2 ** 20)), 2 ** 20 + 1),
+            (("--p", "3", "--k-max", str(10 ** 12)), 10 ** 12),
+            (("--p", "3", "--k-min", "2", "--k-max", str(2 + 2 ** 20)), 2 ** 20 + 1),
         ):
             code, out, err = run_cli(capsys, command, *grid, "--out", str(out_path))
             assert (code, out) == (3, ""), (command, grid)
-            assert "grid budget is 1048576" in err, (command, grid)
+            assert f"needs {size} values, budget is 1048576" in err, (command, grid)
     assert not out_path.exists()
 
 
-def test_domain_error_after_open_leaves_an_empty_csv(tmp_path, capsys):
-    # 9 is not prime: the first cell fails after --out was opened
-    for command in ("scan", "bench"):
-        out_path = tmp_path / f"{command}.csv"
-        code, _, _ = run_cli(capsys, command, "--p", "9", "--k-max", "2", "--out", str(out_path))
-        assert code == 2, command
-        assert out_path.read_bytes() == b"", command
+def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
+    # the error comes after --out was opened: an existing PATH keeps its
+    # bytes, and a PATH the command created is removed
+    out_path = tmp_path / "rows.csv"
+    fresh = tmp_path / "fresh.csv"
+    out_path.write_bytes(b"keep\n")
+    for argv, want in (
+        (("scan", "--p", "9", "--k-max", "3"), 2),
+        (("scan", "--k", "0", "--p-max", "20"), 2),
+        (("bench", "--p", "9", "--k-max", "3"), 2),
+        (("family", "--p", "4", "--k", "2", "--dump"), 2),
+        (("family", "--p", "1031", "--k", "2", "--dump"), 3),
+        (("family", "--p", "3", "--k", "10000", "--dump"), 3),
+    ):
+        for path in (out_path, fresh):
+            code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+            assert (code, out) == (want, ""), (argv, path)
+            assert out_path.read_bytes() == b"keep\n", argv
+            assert [f.name for f in tmp_path.iterdir()] == ["rows.csv"], (argv, path)
+
+
+def test_out_writes_through_a_symlink_and_keeps_the_mode(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old\n" * 100)
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "scan", "--k", "2", "--p-max", "10", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().startswith(CSV_HEADER + "\n")
+    assert "old" not in target.read_text()
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_out_writes_through_a_fifo(tmp_path, capsys):
+    # a FIFO cannot be truncated or renamed over; the rows go through it.
+    # The read end is open before the command runs, so nothing blocks.
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    rfd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, err = run_cli(capsys, "family", "--p", "3", "--k", "2", "--dump", "--out", str(fifo))
+        received = os.read(rfd, 4096)
+    finally:
+        os.close(rfd)
+    assert code == 0, err
+    assert received == b"-1,-1,1\n1,-1,-1\n-1,1,-1\n"
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
 def test_bench_rejects_even_or_small_reps(capsys):

@@ -1,9 +1,11 @@
 """Every exported name resolves, so `from legfam import *` and tools that
-walk the modules' __all__ keep working after a name is deleted."""
+walk the modules' __all__ keep working after a name is deleted; and every
+size refusal in the package goes through the one budget gate."""
 
 import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +50,59 @@ def test_module_all_names_are_defined_there(modname):
     for name in getattr(module, "__all__", ()):
         assert hasattr(module, name), f"{modname}.{name} does not resolve"
         assert name in defined, f"{modname}.{name} is not defined in {modname}"
+
+
+SOURCES = sorted(Path(legfam.__file__).parent.glob("*.py"))
+
+# gf._require_budget is the one comparison against DEFAULT_ENUM_BUDGET;
+# crossover_prime raises BudgetExceededError too, for a search that found
+# no prime below its limit rather than for a size
+BUDGET_GATE = "_require_budget"
+BUDGET_RAISERS = {BUDGET_GATE, "crossover_prime"}
+
+
+def _mentions(node, name: str) -> bool:
+    return any(
+        isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name
+        for n in ast.walk(node)
+    )
+
+
+def _budget_gate_violations(source: str) -> list[str]:
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Compare) and func != BUDGET_GATE:
+            if any(_mentions(op, "DEFAULT_ENUM_BUDGET") for op in (node.left, *node.comparators)):
+                found.append(f"line {node.lineno}: {func} compares against DEFAULT_ENUM_BUDGET")
+        if isinstance(node, ast.Raise) and node.exc is not None and func not in BUDGET_RAISERS:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _mentions(exc, "BudgetExceededError"):
+                found.append(f"line {node.lineno}: {func} raises BudgetExceededError")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_size_refusal_goes_through_the_budget_gate(path):
+    assert _budget_gate_violations(path.read_text(encoding="utf-8")) == []
+
+
+def test_budget_guard_flags_a_gate_written_out():
+    # a grid gate of its own, as cli once had
+    source = """
+def _check_grid_budget(what, length):
+    if length > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"the {what} holds {length} values, grid budget is {DEFAULT_ENUM_BUDGET}"
+        )
+"""
+    assert _budget_gate_violations(source) == [
+        "line 3: _check_grid_budget compares against DEFAULT_ENUM_BUDGET",
+        "line 4: _check_grid_budget raises BudgetExceededError",
+    ]

@@ -18,7 +18,6 @@ from legfam.gf import (
     _pow,
     _rabin_irreducible,
     enumerate_irreducibles,
-    is_irreducible,
     norm,
     pattern_count,
     quad_char,
@@ -71,15 +70,8 @@ def test_enumerate_counts_match_formula():
 def test_is_irreducible_matches_trial_division():
     for p, k in ((3, 2), (3, 3), (5, 2), (7, 2), (3, 4)):
         for t in itertools.product(range(p), repeat=k):
-            f = PolyModP(p, t + (1,))
-            assert is_irreducible(f) == _fp_irreducible(f.coeffs, p), f
-
-
-def test_is_irreducible_rejects_non_monic_and_constants():
-    with pytest.raises(ValueError):
-        is_irreducible(PolyModP(5, (1, 2)))
-    with pytest.raises(ValueError):
-        is_irreducible(PolyModP(5, (3,)))
+            coeffs = t + (1,)
+            assert _rabin_irreducible(p, coeffs) == _fp_irreducible(coeffs, p), (p, coeffs)
 
 
 def test_enumerate_budget(monkeypatch):
@@ -88,6 +80,10 @@ def test_enumerate_budget(monkeypatch):
     monkeypatch.setattr(gf, "_irreducible_mask", None)
     with pytest.raises(BudgetExceededError, match="1062961 candidates"):
         enumerate_irreducibles(1031, 2)
+    # 3^10000 has 4772 digits, past what Python converts to a string, so the
+    # refusal names a power of two it reaches
+    with pytest.raises(BudgetExceededError, match=r"needs at least 2\^15849 candidates"):
+        enumerate_irreducibles(3, 10_000)
 
 
 def rabin_enumeration(p: int, k: int) -> list[tuple[int, ...]]:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from legfam.errors import BudgetExceededError
-from legfam import legendre_seq
+from legfam import gf, legendre_seq
 from legfam.gf import PolyModP
 from legfam.legendre_seq import (
     LegendreSequence,
@@ -95,14 +95,22 @@ def test_build_family_members_are_distinct():
 
 
 def test_build_family_budget(monkeypatch):
-    # both gates refuse before any polynomial is enumerated
+    # both gates refuse before any polynomial is sieved
+    def refuse(*args):
+        raise AssertionError("work started before the budget gate")
+
+    monkeypatch.setattr(gf, "_irreducible_mask", refuse)
+    # 3^13 = 1,594,323 candidates > 2^20, though 122,640 members x 3 cells
+    # fit: enumerate_irreducibles' own gate refuses
+    with pytest.raises(BudgetExceededError, match="1594323 candidates"):
+        build_family(3, 13)
     monkeypatch.setattr(legendre_seq, "enumerate_irreducibles", None)
-    # 1031^2 = 1,062,961 candidates > 2^20
-    with pytest.raises(BudgetExceededError, match="enumeration candidates"):
-        build_family(1031, 2)
     # 101^3 = 1,030,301 candidates fit, but 343,400 members x 101 cells do not
     with pytest.raises(BudgetExceededError, match="34683400 sequence cells"):
         build_family(101, 3)
+    # 1031^2 candidates do not fit either, and the cells gate comes first
+    with pytest.raises(BudgetExceededError, match="547424915 sequence cells"):
+        build_family(1031, 2)
 
 
 def test_build_family_rejects_bad_p():

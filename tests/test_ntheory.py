@@ -279,6 +279,31 @@ def test_every_entry_point_rejects_p_through_one_gate(p, name):
         GATED_ENTRY_POINTS[name](p)
 
 
+# every entry point that takes a degree, as a call at p = 3
+DEGREE_GATED_ENTRY_POINTS = {
+    "compute_A_B": lambda k: bounds.compute_A_B(3, k),
+    "theorem1_bound": lambda k: bounds.theorem1_bound(3, k),
+    "guaranteed_j": lambda k: bounds.guaranteed_j(3, k),
+    "gyarmati_bound": lambda k: bounds.gyarmati_bound(3, k),
+    "upper_bound": lambda k: bounds.upper_bound(3, k),
+    "make_report": lambda k: bounds.make_report(3, k),
+    "crossover_prime": lambda k: bounds.crossover_prime(k),
+    "count_subfield_elements": lambda k: ntheory.count_subfield_elements(3, k),
+    "count_irreducibles": lambda k: ntheory.count_irreducibles(3, k),
+    "enumerate_irreducibles": lambda k: gf.enumerate_irreducibles(3, k),
+    "ExtField": lambda k: gf.ExtField(3, k),
+    "SequenceFamily": lambda k: legendre_seq.SequenceFamily(3, k, ()),
+    "build_family": lambda k: legendre_seq.build_family(3, k),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_GATED_ENTRY_POINTS)
+@pytest.mark.parametrize("k", [0, -3])
+def test_every_entry_point_rejects_k_through_one_gate(k, name):
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}$"):
+        DEGREE_GATED_ENTRY_POINTS[name](k)
+
+
 def test_make_report_tests_p_once_per_subfield_count(monkeypatch):
     # the gate is cached per p, so after a warm-up only the prime-power
     # checks of count_subfield_elements reach is_prime: 3 from compute_A_B
