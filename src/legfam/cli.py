@@ -36,7 +36,7 @@ from .fcomplexity import DEFAULT_CELL_BUDGET, ComplexityBudgetError, family_comp
 from .gf import _require_budget
 from .lambertw import ConvergenceError, w0_complex, w0_from_log, w0_real
 from .legendre_seq import build_family
-from .ntheory import primes_up_to
+from .ntheory import _require_degree, primes_up_to
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,8 +148,9 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
     if args.k is not None or args.p_min is not None:
         raise UsageError("--k and --p-min conflict with --k-min/--k-max")
     k_lo = args.k_min if args.k_min is not None else 1
-    if k_lo < 1 or args.k_max < k_lo:
-        raise UsageError("need 1 <= --k-min <= --k-max")
+    _require_degree(k_lo)
+    if args.k_max < k_lo:
+        raise UsageError("need --k-min <= --k-max")
     _require_budget("the k range", args.k_max - k_lo + 1, "values")
     return [(args.p, k) for k in range(k_lo, args.k_max + 1)], "k"
 
@@ -229,6 +230,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                         "gamma_lower_bound": exc.gamma_lower_bound,
                         "refused_level": exc.refused_level,
                         "levels": _levels_json(exc.levels),
+                        "reduction": exc.reduction,
                     }
                 )
             )
@@ -247,6 +249,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     else list(res.witness_failure[1]),
                     "cells_examined": res.cells_examined,
                     "levels": _levels_json(res.levels),
+                    "reduction": res.reduction,
                     "time_ns": elapsed,
                 }
             )
@@ -260,6 +263,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"witness_positions = {','.join(map(str, pos))}")
         print(f"witness_signs = {','.join(f'{s:+d}' for s in signs)}")
     print(f"cells_examined = {res.cells_examined}")
+    print(f"reduction = {res.reduction}")
     for j, (splits, ns) in enumerate(res.levels, start=1):
         print(f"level {j}: splits = {splits}, time_ns = {ns}")
     print(f"time_ns = {elapsed}")

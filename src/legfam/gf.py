@@ -13,7 +13,7 @@ everything downstream consumes does not exist in characteristic 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,12 +33,26 @@ __all__ = [
 DEFAULT_ENUM_BUDGET = 1 << 20
 
 
-def _require_budget(what: str, size: int, unit: str) -> None:
+def _require_budget(
+    what: str, size: int | Callable[[], int], unit: str, min_bits: int = 0
+) -> None:
     """The one budget gate: BudgetExceededError when work of `size` units
     would pass DEFAULT_ENUM_BUDGET, raised before any of it starts.
 
     A size past 10^18 is shown as a power of two it reaches, since Python
-    refuses to print an int of more than 4300 digits at all."""
+    refuses to print an int of more than 4300 digits at all.
+
+    A size that is itself costly to build (a power p^k for a huge k) comes
+    as a function that builds it, with min_bits, a lower bound on its bit
+    length read off p and k. A bound past 60 bits (2^60 > 10^18, so the
+    size would be shown as a power of two anyway) refuses at once, and the
+    size is never built."""
+    if min_bits > max(60, DEFAULT_ENUM_BUDGET.bit_length()):
+        raise BudgetExceededError(
+            f"{what} needs at least 2^{min_bits - 1} {unit}, budget is {DEFAULT_ENUM_BUDGET}"
+        )
+    if callable(size):
+        size = size()
     if size > DEFAULT_ENUM_BUDGET:
         shown = size if size < 10 ** 18 else f"at least 2^{size.bit_length() - 1}"
         raise BudgetExceededError(

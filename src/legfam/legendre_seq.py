@@ -87,6 +87,13 @@ class SequenceFamily:
         return len(self.members)
 
 
+def _min_cell_bits(p: int, k: int) -> int:
+    # a lower bound on the bit length of I_p(k) * p, from bit lengths alone:
+    # k I_p(k) = p^k - |G| with |G| <= 1.5 p^(k/2) <= p^k / 2 once p^k >= 9,
+    # so I_p(k) >= p^k / (2k) for every odd p and k >= 1
+    return (k + 1) * (p.bit_length() - 1) - k.bit_length()
+
+
 def build_family(p: int, k: int) -> SequenceFamily:
     """The family of Legendre sequences of all monic irreducible degree-k
     polynomials over F_p.
@@ -95,10 +102,16 @@ def build_family(p: int, k: int) -> SequenceFamily:
     sieved: the total number of stored sequence cells (members times p),
     which for k = 1 is the binding one since there are p linear
     polynomials of length p each, and enumerate_irreducibles' own gate on
-    the p^k candidates.
+    the p^k candidates. The cells gate refuses a huge k from bit lengths,
+    before p^k is built.
     """
     _require_cell(p, k)
-    _require_budget(f"family F({k}, {p})", count_irreducibles(p, k) * p, "sequence cells")
+    _require_budget(
+        f"family F({k}, {p})",
+        lambda: count_irreducibles(p, k) * p,
+        "sequence cells",
+        _min_cell_bits(p, k),
+    )
     # symbol[a] = (a/p), with the +1 patch at a = 0; e_p reads f(0)
     symbol = [legendre_symbol(a, p) or 1 for a in range(p)]
     members = tuple(

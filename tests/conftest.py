@@ -4,6 +4,10 @@ criterion in pytest's terminal summary, so the lines survive output capture.
 
 import re
 
+import pytest
+
+from legfam.legendre_seq import LegendreSequence, SequenceFamily, build_family
+
 _pass_lines: dict[int, str] = {}
 
 _CRITERION = re.compile(r"::test_criterion_(\d+)")
@@ -34,3 +38,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for n in sorted(seen):
         # a criterion that failed never reached its record_acceptance call
         terminalreporter.write_line(fail_lines.get(n, _pass_lines.get(n, "")))
+
+
+@pytest.fixture(scope="session")
+def family_13_2_flipped() -> SequenceFamily:
+    """F(2, 13) with the first member's value at position 1 negated. Its rows
+    are closed under neither the shift nor the scaling, so the oracle
+    searches every position tuple of it."""
+    fam = build_family(13, 2)
+    first, *rest = fam.members
+    flipped = LegendreSequence(13, (-first.values[0],) + first.values[1:], first.source)
+    return SequenceFamily(13, 2, (flipped, *rest))

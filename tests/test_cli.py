@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import time
 from dataclasses import fields
 
 import pytest
@@ -178,6 +179,18 @@ def test_scan_usage_errors(capsys):
     assert run_cli(capsys, "scan", "--p", "7", "--k", "2")[0] == 1
     assert run_cli(capsys, "scan", "--p-max", "20")[0] == 1
     assert run_cli(capsys, "scan", "--p", "7", "--p-max", "20", "--k", "2")[0] == 1
+
+
+def test_scan_degree_below_one_is_a_domain_error(capsys):
+    # a k below 1 exits 2 whether it is fixed or the start of a k range
+    for grid in (("--k", "0", "--p-max", "20"), ("--p", "7", "--k-min", "0", "--k-max", "3")):
+        code, out, err = run_cli(capsys, "scan", *grid)
+        assert (code, out) == (2, ""), grid
+        assert "k must be >= 1, got 0" in err, grid
+    # an empty k range stays a usage error
+    code, _, err = run_cli(capsys, "scan", "--p", "7", "--k-min", "3", "--k-max", "2")
+    assert code == 1
+    assert "need --k-min <= --k-max" in err
 
 
 def test_scan_out_file_lf_and_utf8(tmp_path, capsys):
@@ -382,8 +395,10 @@ def test_oracle_text_output(capsys):
     assert "gamma = 1" in out
     assert "witness_positions = 1,2" in out
     assert "witness_signs = +1,+1" in out
-    assert "cells_examined = 6" in out
-    assert "level 1: splits = 3, time_ns = " in out
+    # F(2, 3) is closed under AGL(1, 3): level 1 reads position 1 alone
+    assert "cells_examined = 4" in out
+    assert "reduction = affine" in out
+    assert "level 1: splits = 1, time_ns = " in out
     assert "level 2: splits = 3, time_ns = " in out
 
 
@@ -392,6 +407,7 @@ def test_oracle_json_output(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["gamma"] == 2
+    assert data["reduction"] == "affine"
     assert data["cells_examined"] > 0
     assert [level["j"] for level in data["levels"]] == [1, 2, 3]
     assert sum(level["splits"] for level in data["levels"]) == data["cells_examined"]
@@ -412,7 +428,9 @@ def test_oracle_budget_exit_code(capsys):
     assert "budget" in err
 
 
-def test_oracle_budget_refusal_reports_verified_levels(capsys):
+def test_oracle_budget_refusal_reports_verified_levels(capsys, monkeypatch, family_13_2_flipped):
+    # a (13, 2) family with no symmetry, so every level is searched in full
+    monkeypatch.setattr(cli, "build_family", lambda p, k: family_13_2_flipped)
     code, out, err = run_cli(
         capsys, "oracle", "--p", "13", "--k", "2", "--budget", "100", "--format", "json"
     )
@@ -422,11 +440,23 @@ def test_oracle_budget_refusal_reports_verified_levels(capsys):
     assert data["gamma"] is None
     assert data["gamma_lower_bound"] == 1
     assert data["refused_level"] == 2
+    assert data["reduction"] == "none"
     assert [(level["j"], level["splits"]) for level in data["levels"]] == [(1, 13)]
     # text output: the error text names the verified lower bound
     code, _, err = run_cli(capsys, "oracle", "--p", "13", "--k", "2", "--budget", "12")
     assert code == 3
     assert "j=1" in err and "gamma >= 0" in err
+
+
+def test_oracle_refuses_a_huge_k_at_once(capsys):
+    # 3^(10^7) is never built: the family's cells gate refuses from bit lengths
+    for argv in (("oracle",), ("family", "--dump")):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--p", "3", "--k", "10000000")
+        elapsed = time.perf_counter() - t0
+        assert (code, out) == (3, ""), argv
+        assert "needs at least 2^9999976 sequence cells, budget is 1048576" in err, argv
+        assert elapsed < 0.5, (argv, elapsed)
 
 
 def test_oracle_j_cap(capsys):

@@ -9,23 +9,40 @@ from legfam.errors import BudgetExceededError
 from legfam.fcomplexity import (
     ComplexityBudgetError,
     _level_cost,
+    _search_level,
     family_complexity,
     satisfies_spec,
 )
 from legfam.gf import PolyModP
 from legfam.legendre_seq import LegendreSequence, SequenceFamily, build_family
-from oracles import family_complexity_by_patterns
+from oracles import family_complexity_by_patterns, legendre_direct
 
 # the cells of the benchmark's oracle workload
 BENCHMARK_CELLS = ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3))
 
 
-def _fake_family(p: int, rows: list[tuple[int, ...]]) -> SequenceFamily:
+def _fake_family(p: int, rows: list[tuple[int, ...]], k: int = 1) -> SequenceFamily:
     # wrap raw +-1 rows; the source polynomial is a placeholder
     dummy = PolyModP(p, (0, 1))
     return SequenceFamily(
-        p, 1, tuple(LegendreSequence(p, row, dummy) for row in rows)
+        p, k, tuple(LegendreSequence(p, row, dummy) for row in rows)
     )
+
+
+def _image(row: tuple[int, ...], p: int, k: int, c: int, a: int) -> tuple[int, ...]:
+    # the row of f(cx + a)/c^k: at position n, chi(c)^k times the value at
+    # position cn + a (residue 0 is position p)
+    sign = legendre_direct(c, p) ** k
+    return tuple(sign * row[(c * n + a) % p - 1] for n in range(1, p + 1))
+
+
+def _columns(fam: SequenceFamily) -> tuple[list[int], int]:
+    # the search's input: one member bitmask per position, and all members
+    plus = [
+        sum(1 << b for b, m in enumerate(fam.members) if m.values[i] == 1)
+        for i in range(fam.p)
+    ]
+    return plus, (1 << len(fam.members)) - 1
 
 
 def test_empty_family_has_gamma_zero():
@@ -129,9 +146,10 @@ def test_j_cap_stops_early():
     assert res.witness_failure is None
 
 
-def test_budget_error_names_first_unverified_level():
-    fam = build_family(13, 2)
-    # level 1 may split the whole family once per position: 13 splits
+def test_budget_error_names_first_unverified_level(family_13_2_flipped):
+    fam = family_13_2_flipped
+    # no symmetry to reduce by, so level 1 may split the whole family once
+    # per position: 13 splits
     with pytest.raises(BudgetExceededError) as exc:
         family_complexity(fam, cell_budget=12)
     assert "j=1" in str(exc.value)
@@ -140,11 +158,12 @@ def test_budget_error_names_first_unverified_level():
     assert exc.value.refused_level == 1
     assert exc.value.gamma_lower_bound == 0
     assert exc.value.levels == ()
+    assert exc.value.reduction == "none"
     assert "gamma >= 0" in str(exc.value)
 
 
-def test_budget_error_partial_progress_level():
-    fam = build_family(13, 2)
+def test_budget_error_partial_progress_level(family_13_2_flipped):
+    fam = family_13_2_flipped
     # level 1 makes 13 splits; level 2 may make up to 13 (first positions)
     # + C(13, 2) * 2 (both groups at the second) = 169, and 13 + 169 > 100
     with pytest.raises(BudgetExceededError) as exc:
@@ -158,9 +177,10 @@ def test_budget_error_partial_progress_level():
     assert [splits for splits, _ in exc.value.levels] == [full.levels[0][0]] == [13]
 
 
-def test_budget_error_keeps_every_verified_level():
-    fam = build_family(13, 2)
+def test_budget_error_keeps_every_verified_level(family_13_2_flipped):
+    fam = family_13_2_flipped
     full = family_complexity(fam)  # gamma 4: levels 1..5
+    assert full.reduction == "none"
     # the gate admits level 3 (splits of levels 1, 2 plus level 3's bound)
     # and then refuses level 4, whose bound alone exceeds what is left
     before_3 = sum(splits for splits, _ in full.levels[:2])
@@ -186,10 +206,27 @@ def test_gamma_monotone_under_member_removal(mask):
 def test_cells_examined_counts_match_hand_computation():
     fam = build_family(3, 2)
     res = family_complexity(fam)
-    # level 1: 3 positions * 1 group; level 2: 1 split at position 1, then
-    # at position 2 group 0 splits fine and group 1 (+1 at 1) has no +1 side
-    assert res.cells_examined == 3 + (1 + 2)
-    assert res.levels[0][0] == 3 and res.levels[1][0] == 3
+    assert res.reduction == "affine"
+    # level 1: position 1 alone, 1 group; level 2: 1 split at position 1,
+    # then at position 2 group 0 splits fine and group 1 (+1 at 1) has no
+    # +1 side
+    assert res.cells_examined == 1 + (1 + 2)
+    assert res.levels[0][0] == 1 and res.levels[1][0] == 3
+
+
+def test_reduced_level_cost():
+    # (2^r - 1) + sum_{t=r+1..j} C(n-r, t-r) 2^(t-1), pinned at n = 13
+    assert [_level_cost(13, j, min(2, j)) for j in (1, 2, 3, 4)] == [1, 3, 47, 487]
+    assert [_level_cost(13, j, 1) for j in (1, 2, 3)] == [1, 25, 289]
+    assert [_level_cost(13, j) for j in (1, 2, 3)] == [13, 169, 1313]
+    # all 2^7 rows of length 7: every tuple passes and every group of it is
+    # split, the most work a level can do, and the cost still bounds it
+    plus, everyone = _columns(_fake_family(7, list(itertools.product((-1, 1), repeat=7))))
+    for prefix in (0, 1, 2):
+        for j in range(max(prefix, 1), 6):
+            found, splits = _search_level(plus, everyone, j, prefix)
+            assert found is None
+            assert splits <= _level_cost(7, j, prefix), (prefix, j)
 
 
 @pytest.mark.parametrize(
@@ -198,6 +235,71 @@ def test_cells_examined_counts_match_hand_computation():
 def test_matches_pattern_reading_reference(p, k):
     fam = build_family(p, k)
     res = family_complexity(fam)
+    rows = [m.values for m in fam.members]
+    assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p)
+
+
+@pytest.mark.parametrize(
+    "p,k", dict.fromkeys(DEFAULT_SANDWICH_CELLS + BENCHMARK_CELLS + ((7, 3), (3, 4), (5, 4)))
+)
+def test_reduced_search_fails_where_the_plain_search_does(p, k):
+    # the tuples that start with the fixed positions come first in lex
+    # order, so at the failing level the reduced search stops at the plain
+    # search's witness after the same splits, and needs no second pass
+    fam = build_family(p, k)
+    res = family_complexity(fam)
+    assert res.reduction == ("translation" if k == 1 else "affine")
+    j = res.gamma + 1
+    prefix = min(j, 1 if k == 1 else 2)
+    plus, everyone = _columns(fam)
+    reduced = _search_level(plus, everyone, j, prefix)
+    assert reduced == _search_level(plus, everyone, j)
+    assert reduced[1] == res.levels[-1][0]
+
+
+_ROW_SETS = st.sampled_from((3, 5, 7, 11)).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.tuples(*[st.sampled_from((-1, 1))] * p), min_size=1, max_size=3),
+    )
+)
+
+
+@given(_ROW_SETS, st.sampled_from((1, 2)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_orbit_closed_families_match_pattern_reading_reference(p_rows, k, data):
+    # random rows plus every image under AGL(1, p), with the sign chi(c)^k
+    p, seeds = p_rows
+    rows = [_image(row, p, k, c, a) for row in seeds for c in range(1, p) for a in range(p)]
+    res = family_complexity(_fake_family(p, rows, k))
+    assert res.reduction == "affine"
+    assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p)
+    # one value flipped leaves the orbit: the search falls back to every tuple
+    b = data.draw(st.integers(0, len(rows) - 1))
+    i = data.draw(st.integers(0, p - 1))
+    rows[b] = rows[b][:i] + (-rows[b][i],) + rows[b][i + 1 :]
+    res = family_complexity(_fake_family(p, rows, k))
+    assert res.reduction == "none"
+    assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p)
+
+
+@given(_ROW_SETS)
+@settings(max_examples=60, deadline=None)
+def test_shift_closed_families_match_pattern_reading_reference(p_rows):
+    p, seeds = p_rows
+    rows = [_image(row, p, 2, 1, a) for row in seeds for a in range(p)]
+    res = family_complexity(_fake_family(p, rows))
+    assert res.reduction != "none"
+    assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_degree_one_families_are_closed_under_translation_only(p):
+    # f(x) = x + a: the +1 patch at the root does not flip sign with the
+    # rest of the row under the scaling, so only the shift is used
+    fam = build_family(p, 1)
+    res = family_complexity(fam)
+    assert res.reduction == "translation"
     rows = [m.values for m in fam.members]
     assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p)
 

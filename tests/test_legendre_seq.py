@@ -113,6 +113,16 @@ def test_build_family_budget(monkeypatch):
         build_family(1031, 2)
 
 
+def test_cell_bit_floor_bounds_the_cells_gate():
+    # the huge-k refusal reads _min_cell_bits instead of the size: it must
+    # never exceed the bit length of members x p, or a cell that fits
+    # could be refused
+    for p in primes_up_to(1000, 3):
+        for k in range(1, 40 if p < 20 else 6):
+            cells = count_irreducibles(p, k) * p
+            assert legendre_seq._min_cell_bits(p, k) <= cells.bit_length(), (p, k)
+
+
 def test_build_family_rejects_bad_p():
     with pytest.raises(ValueError):
         build_family(4, 2)
