@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import stat
@@ -36,7 +37,7 @@ from .fcomplexity import DEFAULT_CELL_BUDGET, ComplexityBudgetError, family_comp
 from .gf import _require_budget
 from .lambertw import ConvergenceError, w0_complex, w0_from_log, w0_real
 from .legendre_seq import build_family
-from .ntheory import _require_degree, primes_up_to
+from .ntheory import _require_cell, _require_degree, primes_up_to
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,13 +120,23 @@ def _gnuplot_script(csv_path: str, ranged: str, kind: str) -> str:
     )
 
 
+def _require_cell_bits(p: int, k: int) -> None:
+    """Refuse a cell whose p^k is known from p's bit length and k alone to
+    have more than DEFAULT_ENUM_BUDGET bits, before any power is built:
+    p^k >= 2^((bitlen p - 1) k), so it has at least (bitlen p - 1) k + 1
+    bits. A bad p or k is a domain error first."""
+    _require_cell(p, k)
+    _require_budget(f"p^k at ({p},{k})", (p.bit_length() - 1) * k + 1, "bits or more")
+
+
 def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
     """Cells for scan/bench plus which axis is ranged ('p' or 'k').
 
     Exactly one axis must be ranged; a ranged p visits odd primes only.
     Every grid flag is checked here, before any cell is evaluated, and a
     p window (sieved one byte per integer) or a k range longer than
-    DEFAULT_ENUM_BUDGET is refused before anything is allocated.
+    DEFAULT_ENUM_BUDGET is refused before anything is allocated; so is a
+    grid whose largest cell fails _require_cell_bits.
     """
     if args.gnuplot and args.out is None:
         raise UsageError("--gnuplot needs --out (the script references the CSV)")
@@ -142,7 +153,10 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
         if args.p_max < lo:
             raise UsageError(f"--p-max must be >= {lo}")
         _require_budget("the p window", args.p_max - lo + 1, "values")
-        return [(q, args.k) for q in primes_up_to(args.p_max, lo)], "p"
+        cells = [(q, args.k) for q in primes_up_to(args.p_max, lo)]
+        if cells:
+            _require_cell_bits(*cells[-1])
+        return cells, "p"
     if args.p is None:
         raise UsageError("--p is required when ranging over k")
     if args.k is not None or args.p_min is not None:
@@ -152,10 +166,12 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
     if args.k_max < k_lo:
         raise UsageError("need --k-min <= --k-max")
     _require_budget("the k range", args.k_max - k_lo + 1, "values")
+    _require_cell_bits(args.p, args.k_max)
     return [(args.p, k) for k in range(k_lo, args.k_max + 1)], "k"
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    _require_cell_bits(args.p, args.k)
     rep = make_report(args.p, args.k)
     if args.format == "csv":
         _emit_rows([rep], sys.stdout.write)
@@ -303,6 +319,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"... {rep.skipped} further failures suppressed")
         status = "ok" if rep.ok else "FAILED"
         print(f"{rep.name}: {status} ({rep.checked} checks)")
+        print(f"{rep.name}: elapsed_ns = {rep.elapsed_ns}")
         all_ok = all_ok and rep.ok
     return EXIT_OK if all_ok else EXIT_VERIFY
 
@@ -325,7 +342,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: a parser is a web of reference cycles, and a
+    # new one per call left that garbage for the cyclic collector
     parser = _Parser(prog="legfam", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 

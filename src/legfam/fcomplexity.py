@@ -209,7 +209,12 @@ def _search_level(
                 return found
         return None
 
-    return descend([everyone], 0), splits
+    found = descend([everyone], 0)
+    # descend reaches itself through its closure; dropping the name breaks
+    # that cycle, so plus and minus go with this call, not at the next
+    # full collection
+    del descend
+    return found, splits
 
 
 def family_complexity(

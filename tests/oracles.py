@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 
 def w_bisect(x: float) -> float:
     """Principal-branch W(x) for x >= -1/e by pure bisection on w*e^w = x."""
@@ -269,18 +271,59 @@ def family_complexity_by_patterns(
     return limit, None
 
 
+def _odd_prime_fields(size_limit: int):
+    # every (p, k) of odd characteristic with p^k <= size_limit, by trial division
+    for p in range(3, size_limit + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            k = 1
+            while p ** k <= size_limit:
+                yield p, k
+                k += 1
+
+
 def weil_sweep_size(size_limit: int, j_max: int, certified) -> int:
     """How many checks a complete weil sweep makes: over every field of
-    odd characteristic p with p^k <= size_limit (found by trial division),
-    C(p, j) * 2^j pattern counts for each j <= min(j_max, p), plus one
-    minimum-versus-subfield check for each j <= certified(p, k)."""
+    odd characteristic p with p^k <= size_limit, C(p, j) * 2^j pattern
+    counts for each j <= min(j_max, p), plus one minimum-versus-subfield
+    check for each j <= certified(p, k)."""
     total = 0
-    for p in range(3, size_limit + 1):
-        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-            continue
-        k = 1
-        while p ** k <= size_limit:
-            swept = sum(math.comb(p, j) << j for j in range(1, min(j_max, p) + 1))
-            total += swept + certified(p, k)
-            k += 1
+    for p, k in _odd_prime_fields(size_limit):
+        swept = sum(math.comb(p, j) << j for j in range(1, min(j_max, p) + 1))
+        total += swept + certified(p, k)
     return total
+
+
+def weil_reduced_size(size_limit: int, j_max: int, certified) -> int:
+    """How many checks check_weil makes over the orbit representatives:
+    per field, one scaling-identity check, certified(p, k) minimum checks,
+    and 2^j counts for each tuple of j <= min(max(j_max, certified(p, k)), p)
+    positions that starts with r = min(j - 1, 2) fixed positions (none at
+    j = 1, then (0,), then (0, 1)): C(p - r, j - r) of them."""
+    total = 0
+    for p, k in _odd_prime_fields(size_limit):
+        depth = min(max(j_max, certified(p, k)), p)
+        swept = sum(
+            math.comb(p - min(j - 1, 2), j - min(j - 1, 2)) << j for j in range(1, depth + 1)
+        )
+        total += 1 + swept + certified(p, k)
+    return total
+
+
+def full_pattern_counts(bits, depth: int, prefix: tuple[int, ...] = (), sets=None):
+    """The complete weil walk, the reference for check_weil's walk over
+    orbit representatives: (prefix, counts) for the empty prefix and every
+    increasing position tuple shorter than depth. bits is
+    checks._sign_bitsets' array; row r of counts extends the prefix by the
+    r-th position after it, column c is the sign pattern whose bits, first
+    position most significant, are 1 for +1."""
+    if len(prefix) >= depth:
+        return
+    p, _, words = bits.shape
+    start = prefix[-1] + 1 if prefix else 0
+    if sets is None:
+        sets = np.full((1, words), ~np.uint64(0))
+    ext = (sets[None, :, None] & bits[start:, None]).reshape(p - start, -1, words)
+    yield prefix, np.bitwise_count(ext).sum(axis=-1, dtype=np.int64)
+    if len(prefix) + 1 < depth:
+        for i, child in zip(range(start, p - 1), ext):
+            yield from full_pattern_counts(bits, depth, prefix + (i,), child)

@@ -33,7 +33,7 @@ from legfam.ntheory import (
     primes_up_to,
 )
 import conftest
-from oracles import sieve_irreducible_counts, weil_sweep_size
+from oracles import sieve_irreducible_counts, weil_reduced_size
 
 
 def _report(n: int, message: str) -> None:
@@ -171,8 +171,9 @@ def test_criterion_08_weil_enumeration():
     t0 = time.monotonic()
     rep = check_weil(size_limit=169, j_max=3)
     assert rep.ok, rep.failures[:5]
-    # a sweep that skips tuples must not pass on a smaller count
-    assert rep.checked == weil_sweep_size(169, 3, guaranteed_j) == 52_636_254
+    # one tuple per orbit of x -> cx + a; a sweep that skips representatives
+    # must not pass on a smaller count
+    assert rep.checked == weil_reduced_size(169, 3, guaranteed_j) == 40_708
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 2min"
     _report(8, f"{rep.checked} pattern counts within the character-sum slack")

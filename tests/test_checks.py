@@ -1,4 +1,3 @@
-import itertools
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,7 +18,8 @@ from legfam.checks import (
     small_fields,
 )
 from legfam.gf import ExtField, pattern_count
-from oracles import weil_sweep_size
+from legfam.ntheory import count_subfield_elements
+from oracles import full_pattern_counts, weil_reduced_size, weil_sweep_size
 
 
 def test_small_fields_enumeration():
@@ -70,14 +70,62 @@ def test_check_sandwich_defaults_pass():
 def test_check_weil_small_limit_passes():
     rep = check_weil(size_limit=49, j_max=3)
     assert rep.ok, rep.failures[:3]
-    # a sweep that skips tuples must not pass on a smaller count
-    assert rep.checked == weil_sweep_size(49, 3, guaranteed_j) == 493_933
+    # a sweep that skips representatives must not pass on a smaller count
+    assert rep.checked == weil_reduced_size(49, 3, guaranteed_j) == 4_507
 
 
 def test_check_weil_deep_j_passes():
     rep = check_weil(size_limit=49, j_max=4)
     assert rep.ok, rep.failures[:3]
-    assert rep.checked == weil_sweep_size(49, 4, guaranteed_j) == 9_142_605
+    assert rep.checked == weil_reduced_size(49, 4, guaranteed_j) == 76_043
+
+
+def test_check_weil_defaults_pass():
+    # every field up to 512 elements, each to its certified j: 4 from p = 353 on
+    rep = run_suite("weil")
+    assert rep.ok, rep.failures[:3]
+    assert max(guaranteed_j(p, k) for p, k in small_fields(512)) == 4
+    assert rep.checked == weil_reduced_size(512, 3, guaranteed_j) == 40_601_183
+    assert rep.elapsed_ns > 0
+
+
+def _per_j(walk, n: int) -> dict[int, tuple[int, int, bool, int]]:
+    """{j: (worst |2^j N - n|, minimum N, every tuple sums to n - j,
+    counts made)} over the (prefix, counts) of a weil walk."""
+    stats: dict[int, tuple[int, int, bool, int]] = {}
+    for prefix, cnt in walk:
+        j = len(prefix) + 1
+        worst, low, sums_ok, made = stats.get(j, (0, n, True, 0))
+        stats[j] = (
+            max(worst, int(np.abs((cnt << j) - n).max())),
+            min(low, int(cnt.min())),
+            sums_ok and bool((cnt.sum(axis=-1) == n - j).all()),
+            made + cnt.size,
+        )
+    return stats
+
+
+@pytest.mark.parametrize(
+    "size_limit, j_max, full_count",
+    [(49, 3, 493_933), (49, 4, 9_142_605), (169, 3, 52_636_254)],
+)
+def test_reduced_weil_sweep_matches_the_full_reference(size_limit, j_max, full_count):
+    # the orbit representatives give every (field, j) the worst deviation,
+    # the minimum and the sum verdict of every tuple, so the same verdict
+    verdict, made = True, 0
+    for p, k in small_fields(size_limit):
+        n, gj = p ** k, guaranteed_j(p, k)
+        assert gj <= j_max  # so check_weil sweeps to the same depth
+        bits = _sign_bitsets(ExtField(p, k).char_table(), p)
+        want = _per_j(full_pattern_counts(bits, min(j_max, p)), n)
+        got = _per_j(_pattern_counts(bits, min(j_max, p)), n)
+        assert {j: s[:3] for j, s in got.items()} == {j: s[:3] for j, s in want.items()}, (p, k)
+        for j, (worst, low, sums_ok, _) in want.items():
+            passes = worst <= _weil_limit(j, n) and sums_ok
+            verdict &= passes and (j > gj or low > count_subfield_elements(p, k))
+        made += sum(s[3] for s in want.values()) + gj
+    assert made == weil_sweep_size(size_limit, j_max, guaranteed_j) == full_count
+    assert check_weil(size_limit, j_max).ok == verdict
 
 
 def test_weil_limit_is_the_slack_decided_exactly():
@@ -97,7 +145,9 @@ def test_weil_limit_is_the_slack_decided_exactly():
 
 
 def test_check_weil_counts_cross_checked_against_pattern_count():
-    # every count the sweep makes for j <= 3 equals the direct counter
+    # every count the sweep makes for j <= 3 equals the direct counter, and
+    # the sweep counts every single position, the pairs (0, i) and the
+    # triples (0, 1, i)
     for p, k in ((7, 2), (3, 3)):
         F = ExtField(p, k)
         seen = set()
@@ -110,22 +160,47 @@ def test_check_weil_counts_cross_checked_against_pattern_count():
                     signs = [1 if pattern >> (j - 1 - t) & 1 else -1 for t in range(j)]
                     assert count == pattern_count(F, pos, signs), (p, k, pos, signs)
                 seen.add(pos)
-        assert seen == {c for j in (1, 2, 3) for c in itertools.combinations(range(p), j)}
+        assert seen == (
+            {(i,) for i in range(p)}
+            | {(0, i) for i in range(1, p)}
+            | {(0, 1, i) for i in range(2, p)}
+        )
+
+
+def _patched_char_table(monkeypatch, cell, mutate):
+    table = ExtField.char_table
+
+    def patched(self):
+        chi = table(self).copy()
+        if (self.p, self.k) == cell:
+            mutate(chi)
+        return chi
+
+    monkeypatch.setattr(ExtField, "char_table", patched)
 
 
 def test_check_weil_catches_one_flipped_character_value(monkeypatch):
-    table = ExtField.char_table
+    def flip_one(chi):
+        chi[1] = -chi[1]
 
-    def flipped(self, *args, **kwargs):
-        chi = table(self, *args, **kwargs).copy()
-        if (self.p, self.k) == (7, 2):
-            chi[1] = -chi[1]
-        return chi
-
-    monkeypatch.setattr(ExtField, "char_table", flipped)
+    _patched_char_table(monkeypatch, (7, 2), flip_one)
     rep = check_weil(size_limit=49, j_max=3)
     assert not rep.ok
     assert all(f.startswith("(7,2)") for f in rep.failures)
+
+
+def test_check_weil_catches_a_table_that_breaks_only_the_scaling(monkeypatch):
+    # chi negated on the ids 7..13, whose top base-7 digit is 1: a set that
+    # x -> x + a maps to itself, so every translate of a tuple still counts
+    # alike, but x -> 3x (3 generates F_7^*) moves it to top digit 3
+    def negate_top_digit_one(chi):
+        chi[7:14] = -chi[7:14]
+
+    _patched_char_table(monkeypatch, (7, 2), negate_top_digit_one)
+    rep = check_weil(size_limit=49, j_max=3)
+    assert not rep.ok
+    assert all(f.startswith("(7,2)") for f in rep.failures)
+    assert any("least generator" in f for f in rep.failures)
 
 
 def test_check_corollary1_catches_one_flipped_character_value(monkeypatch):

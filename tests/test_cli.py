@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import re
 import stat
 import time
 from dataclasses import fields
@@ -10,6 +12,7 @@ import pytest
 from legfam import cli
 from legfam.bounds import BoundReport, make_report
 from legfam.cli import CSV_HEADER, main
+from legfam.errors import BudgetExceededError
 from legfam.ntheory import is_prime
 
 
@@ -296,8 +299,8 @@ def test_huge_grids_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
-    # the error comes after --out was opened: an existing PATH keeps its
-    # bytes, and a PATH the command created is removed
+    # whether the error comes before or after --out was opened, an
+    # existing PATH keeps its bytes, and a PATH the command created is removed
     out_path = tmp_path / "rows.csv"
     fresh = tmp_path / "fresh.csv"
     out_path.write_bytes(b"keep\n")
@@ -459,6 +462,29 @@ def test_oracle_refuses_a_huge_k_at_once(capsys):
         assert elapsed < 0.5, (argv, elapsed)
 
 
+def test_bound_and_scan_refuse_a_huge_power_at_once(capsys):
+    # 3^(10^7) has at least 10^7 + 1 bits, read off bit_length and k before
+    # any power is built; a grid is gated once, on its largest cell
+    for argv, cell, bits in (
+        (("bound", "--p", "3", "--k", "10000000"), (3, 10 ** 7), 10 ** 7 + 1),
+        (("scan", "--p", "3", "--k-min", str(10 ** 7), "--k-max", str(10 ** 7 + 1)),
+         (3, 10 ** 7 + 1), 10 ** 7 + 2),
+        (("scan", "--k", "10000000", "--p-max", "6"), (5, 10 ** 7), 2 * 10 ** 7 + 1),
+    ):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+        assert (code, out) == (3, ""), argv
+        assert f"p^k at ({cell[0]},{cell[1]}) needs {bits} bits or more" in err, argv
+        assert elapsed < 0.5, (argv, elapsed)
+    # the bound is (bitlen p - 1) k + 1 bits, and the budget is 2^20 of them
+    cli._require_cell_bits(3, 2 ** 20 - 1)
+    with pytest.raises(BudgetExceededError):
+        cli._require_cell_bits(3, 2 ** 20)
+    # a bad cell is still a domain error, not a refusal
+    assert run_cli(capsys, "bound", "--p", "9", "--k", "10000000")[0] == 2
+
+
 def test_oracle_j_cap(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--p", "13", "--k", "2", "--j-cap", "1", "--format", "json")
     assert code == 0
@@ -468,11 +494,35 @@ def test_oracle_j_cap(capsys):
 def test_verify_sandwich_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", "sandwich")
     assert code == 0
-    assert "sandwich: ok" in out
+    # the status line keeps its exact form; the suite's time has its own line
+    status, elapsed = out.splitlines()
+    assert status == "sandwich: ok (10 checks)"
+    assert re.fullmatch(r"sandwich: elapsed_ns = [1-9]\d*", elapsed)
 
 
 def test_verify_rejects_unknown_suite(capsys):
     assert run_cli(capsys, "verify", "nonsense")[0] == 1
+
+
+def test_commands_leave_no_cyclic_garbage(capsys):
+    # a parser per call, and the oracle's self-referencing search closure,
+    # were cycles that only a full collection freed, so memory grew call
+    # by call
+    main(["w", "--x", "1"])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in (
+            ("w", "--x", "1"),
+            ("scan", "--p", "7", "--k-min", "1", "--k-max", "3"),
+            ("oracle", "--p", "13", "--k", "2"),
+            ("verify", "sandwich"),
+        ):
+            assert main(list(argv)) == 0, argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_family_dump(capsys):
