@@ -13,7 +13,6 @@ from .bounds import (
     crossover_prime,
     guaranteed_j,
     gyarmati_bound,
-    lemma4_bisection_root,
     lemma4_closed_form,
     make_report,
     theorem1_bound,
@@ -21,15 +20,10 @@ from .bounds import (
 )
 from .checks import CheckReport, check_corollary1, check_gauss, check_weil, run_suite
 from .errors import BudgetExceededError
-from .fcomplexity import ComplexityResult, family_complexity, satisfies_spec
+from .fcomplexity import ComplexityResult, family_complexity
 from .gf import ExtField, PolyModP, enumerate_irreducibles
 from .lambertw import ConvergenceError, WResult, w0_complex, w0_from_log, w0_real
-from .legendre_seq import (
-    LegendreSequence,
-    SequenceFamily,
-    build_family,
-    legendre_symbol,
-)
+from .legendre_seq import SequenceFamily, build_family, legendre_symbol
 from .ntheory import (
     count_irreducibles,
     count_subfield_elements,
@@ -50,7 +44,6 @@ __all__ = [
     "ComplexityResult",
     "ConvergenceError",
     "ExtField",
-    "LegendreSequence",
     "PolyModP",
     "SequenceFamily",
     "WResult",
@@ -70,14 +63,12 @@ __all__ = [
     "is_prime",
     "is_prime_power",
     "legendre_symbol",
-    "lemma4_bisection_root",
     "lemma4_closed_form",
     "log2_of_big",
     "make_report",
     "mobius",
     "primes_up_to",
     "run_suite",
-    "satisfies_spec",
     "theorem1_bound",
     "upper_bound",
     "w0_complex",

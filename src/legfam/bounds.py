@@ -35,7 +35,6 @@ __all__ = [
     "theorem1_bound",
     "guaranteed_j",
     "lemma4_closed_form",
-    "lemma4_bisection_root",
     "gyarmati_bound",
     "upper_bound",
     "crossover_prime",
@@ -44,7 +43,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LOG2_LN2 = math.log2(_LN2)
-_BISECTION_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -154,36 +152,6 @@ def lemma4_closed_form(A: float, B: float) -> float:
     """
     _require_lemma4_inputs(A, B)
     return 2.0 ** _root_log2(math.log2(A), B)
-
-
-def lemma4_bisection_root(A: float, B: float) -> float:
-    """Root of B*x + x*log2(x) = A by pure bisection; no Lambert W anywhere.
-
-    Kept as an independent cross-check of lemma4_closed_form. The lower
-    end 2^(-B-2) always starts negative (there B + log2 x = -2 exactly),
-    and g is increasing past its single minimum, so doubling the upper
-    end is guaranteed to bracket.
-    """
-    _require_lemma4_inputs(A, B)
-    lo = 2.0 ** (-B - 2.0)
-    if not math.isfinite(lo):
-        raise ValueError(f"B = {B} puts the bracket outside float range")
-
-    def g(x: float) -> float:
-        return x * (B + math.log2(x)) - A
-
-    hi = max(2.0 * lo, 2.0)
-    while g(hi) <= 0.0:
-        hi *= 2.0
-    for _ in range(_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * lo:
-            break
-    return 0.5 * (lo + hi)
 
 
 def _gyarmati(n: int, k: int) -> tuple[float, float]:

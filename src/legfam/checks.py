@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import guaranteed_j, gyarmati_bound, upper_bound
 from .fcomplexity import family_complexity
-from .gf import _SIEVE_BLOCK, ExtField, _irreducible_mask, _pow, norm, quad_char
+from .gf import _SIEVE_BLOCK, ExtField, _ids, _irreducible_mask, _pow, norm, quad_char
 from .legendre_seq import build_family, legendre_symbol
 from .ntheory import (
     count_irreducibles,
@@ -101,9 +101,10 @@ def _weil_limit(j: int, n: int) -> int:
 def _sign_bitsets(chi: np.ndarray, p: int) -> np.ndarray:
     """bits[i, s] packs {id : chi(alpha_id + i) = (-1, +1)[s]} into uint64
     words, for every shift i in [0, p); chi is a field's char_table."""
-    mat = chi.reshape(-1, p)
-    # adding a prime-field constant only rotates the lowest base-p digit
-    shifts = np.stack([np.roll(mat, -i, axis=1).reshape(-1) for i in range(p)])
+    # adding a prime-field constant only rotates the lowest base-p digit:
+    # shifts[i] reads digit (c + i) mod p where chi reads digit c
+    c = np.arange(p)
+    shifts = chi.reshape(-1, p)[:, (c[:, None] + c) % p].swapaxes(0, 1).reshape(p, -1)
     packed = np.packbits(np.stack([shifts == -1, shifts == 1], axis=1), axis=-1)
     return np.pad(packed, ((0, 0), (0, 0), (0, -packed.shape[-1] % 8))).view(np.uint64)
 
@@ -139,7 +140,7 @@ def _scales_by_generator(fld: ExtField, chi: np.ndarray) -> bool:
     F_p^*: c multiplies every base-p digit of an id by c."""
     p, k = fld.p, fld.k
     c = ExtField(p, 1)._generator_id()
-    scaled = (fld.elements() * c % p) @ p ** np.arange(k)
+    scaled = _ids(p, fld.elements() * c % p)
     return bool((chi[scaled] == (-1) ** k * chi).all())
 
 
@@ -299,8 +300,8 @@ def check_sandwich() -> CheckReport:
         rep.checked += 1
         if not gj <= res.gamma:
             rep.record(f"({p},{k}): guaranteed_j {gj} > oracle gamma {res.gamma}")
-        if not 2 ** res.gamma <= len(fam.members):
-            rep.record(f"({p},{k}): 2^{res.gamma} exceeds family size {len(fam.members)}")
+        if not 2 ** res.gamma <= len(fam):
+            rep.record(f"({p},{k}): 2^{res.gamma} exceeds family size {len(fam)}")
         if not res.gamma <= ub + 1e-12:
             rep.record(f"({p},{k}): gamma {res.gamma} above upper bound {ub}")
         if gy > 0.0 and not res.gamma >= gy:

@@ -329,7 +329,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         raise UsageError("family only dumps sequences; pass --dump")
     with _open_out(args.out) as write:
         fam = build_family(args.p, args.k)
-        lines = [",".join(str(v) for v in member.values) for member in fam.members]
+        lines = [",".join(map(str, row)) for row in fam.rows.tolist()]
         write("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -33,7 +33,8 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 from operator import and_
-from typing import Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .gf import ExtField
@@ -42,7 +43,6 @@ from .legendre_seq import SequenceFamily
 __all__ = [
     "ComplexityResult",
     "ComplexityBudgetError",
-    "satisfies_spec",
     "family_complexity",
     "DEFAULT_CELL_BUDGET",
 ]
@@ -97,54 +97,30 @@ class ComplexityBudgetError(BudgetExceededError):
         self.reduction = reduction
 
 
-def satisfies_spec(
-    family: SequenceFamily, positions: Sequence[int], signs: Sequence[int]
-) -> bool:
-    """True when some family member matches every (position, sign) constraint.
-
-    Positions are 1-based, strictly increasing, at most the sequence length.
-    The empty pattern is satisfied vacuously, even by an empty family.
-    """
-    if len(positions) != len(signs):
-        raise ValueError("positions and signs must have equal length")
-    if not positions:
-        return True
-    prev = 0
-    for i in positions:
-        if not prev < i <= family.p:
-            raise ValueError(
-                f"positions must be strictly increasing in [1, {family.p}], got {positions}"
-            )
-        prev = i
-    for s in signs:
-        if s not in (-1, 1):
-            raise ValueError(f"signs must be +-1, got {s}")
-    for member in family.members:
-        if all(member.values[i - 1] == s for i, s in zip(positions, signs)):
-            return True
-    return False
-
-
 def _symmetry(family: SequenceFamily) -> tuple[str, int]:
     """The reduction the family's rows allow, and how many leading positions
     it fixes: ("affine", 2), ("translation", 1) or ("none", 0).
 
-    Each map is applied to every row and the images compared with the rows
-    as multisets. The scaling uses the least generator c of F_p^*, a
-    non-residue, so its sign chi(c)^k is (-1)^k.
+    Each map is applied to the whole array and the image compared with the
+    rows as multisets, both sorted lexicographically. The scaling uses the
+    least generator c of F_p^*, a non-residue, so its sign is (-1)^k.
     """
-    p = family.p
-    rows = sorted(m.values for m in family.members)
-    if sorted(v[1:] + v[:1] for v in rows) != rows:
+    p, rows = family.p, family.rows
+    lex = _lex_sorted(rows)
+    if not np.array_equal(_lex_sorted(np.roll(rows, -1, axis=1)), lex):
         return "none", 0
     c = ExtField(p, 1)._generator_id()
-    sign = (-1) ** family.k
-    # the image's value at position n is sign times the value at position
-    # cn; residue 0 is position p, at index -1
-    perm = [c * n % p - 1 for n in range(1, p + 1)]
-    if sorted(tuple(sign * v[i] for i in perm) for v in rows) != rows:
+    # the image's value at position n is (-1)^k times the value at
+    # position cn; residue 0 is position p, at index -1
+    perm = c * np.arange(1, p + 1) % p - 1
+    if not np.array_equal(_lex_sorted((-1) ** family.k * rows[:, perm]), lex):
         return "translation", 1
     return "affine", 2
+
+
+def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    # np.lexsort keys on its last key first, so the columns go in reversed
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _level_cost(n: int, j: int, prefix: int = 0) -> int:
@@ -246,13 +222,10 @@ def family_complexity(
         raise ValueError(f"j_cap must be >= 0, got {j_cap}")
     limit = n if j_cap is None else min(n, j_cap)
     reduction, fixed = _symmetry(family)
-    # plus[i]: bit b set iff member b has +1 at position i + 1
-    plus = [0] * n
-    for b, member in enumerate(family.members):
-        for i, v in enumerate(member.values):
-            if v == 1:
-                plus[i] |= 1 << b
-    everyone = (1 << len(family.members)) - 1
+    # plus[i]: bit b set iff member b has +1 at position i + 1, from column i
+    packed = np.packbits(family.rows == 1, axis=0, bitorder="little")
+    plus = [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+    everyone = (1 << len(family)) - 1
     cells = 0
     levels: list[tuple[int, int]] = []
     for j in range(1, limit + 1):

@@ -1,7 +1,7 @@
 """Polynomials over F_p, their irreducibility, and extension fields F_{p^k}.
 
-Coefficient vectors are stored lowest degree first with no trailing zeros
-(the zero polynomial is the empty tuple). Extension fields are F_p[x]/(m)
+Coefficient vectors are stored lowest degree first: as array rows, or as
+a modulus tuple with no trailing zeros. Extension fields are F_p[x]/(m)
 for a monic irreducible m; when no modulus is given, the lexicographically
 first irreducible of the right degree is used so that every construction
 is reproducible run to run.
@@ -13,7 +13,7 @@ everything downstream consumes does not exist in characteristic 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "ExtField",
     "norm",
     "quad_char",
-    "pattern_count",
 ]
 
 DEFAULT_ENUM_BUDGET = 1 << 20
@@ -132,13 +131,6 @@ def _id_digits(p: int, ident: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _digits_id(p: int, coeffs: tuple[int, ...]) -> int:
-    ident = 0
-    for c in reversed(coeffs):
-        ident = ident * p + c
-    return ident
-
-
 def _poly_str(coeffs: tuple[int, ...]) -> str:
     if not coeffs:
         return "0"
@@ -161,8 +153,8 @@ def _poly_str(coeffs: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class PolyModP:
-    """Polynomial over F_p, odd prime p. Coefficients are auto-reduced mod p
-    and stored lowest degree first with trailing zeros stripped."""
+    """An ExtField's modulus: a polynomial over F_p, odd prime p, reduced
+    mod p and stored lowest degree first with trailing zeros stripped."""
 
     p: int
     coeffs: tuple[int, ...]
@@ -180,16 +172,6 @@ class PolyModP:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def evaluate(self, x: int) -> int:
-        """Value at x, reduced into [0, p). Horner scheme."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def __str__(self) -> str:
-        return _poly_str(self.coeffs)
 
     def __repr__(self) -> str:
         return f"PolyModP(p={self.p}, {_poly_str(self.coeffs)})"
@@ -231,6 +213,11 @@ def _monic_rows(p: int, k: int, tails: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _ids(p: int, rows: np.ndarray) -> np.ndarray:
+    # element id of every row of base-p digits, lowest first
+    return rows @ p ** np.arange(rows.shape[1], dtype=np.int64)
+
+
 def _irreducible_mask(p: int, k: int) -> np.ndarray:
     """Flags over the tail ids 0..p^k - 1: True at the monic irreducibles
     of degree k over F_p.
@@ -259,11 +246,12 @@ def _irreducible_mask(p: int, k: int) -> np.ndarray:
     return irreducible
 
 
-def enumerate_irreducibles(p: int, k: int) -> list[PolyModP]:
-    """All monic irreducible degree-k polynomials over F_p.
+def enumerate_irreducibles(p: int, k: int) -> np.ndarray:
+    """All monic irreducible degree-k polynomials over F_p, as the rows
+    (a_0, ..., a_{k-1}, 1) of an (m, k + 1) int64 array.
 
-    Ordered lexicographically by the coefficient tuple (a_{k-1}, ..., a_0),
-    i.e. x^2 + 1 before x^2 + x + 2 before x^2 + 2x + 2 for p = 3. Refuses
+    Rows are ordered lexicographically by (a_{k-1}, ..., a_0), i.e.
+    x^2 + 1 before x^2 + x + 2 before x^2 + 2x + 2 for p = 3. Refuses
     to scan more than DEFAULT_ENUM_BUDGET candidates (p^k of them).
 
     The candidates are sieved, not tested one by one: every product of a
@@ -274,14 +262,7 @@ def enumerate_irreducibles(p: int, k: int) -> list[PolyModP]:
     """
     _require_cell(p, k)
     _require_budget(f"enumerating degree-{k} polynomials over F_{p}", p ** k, "candidates")
-    irreducible = _irreducible_mask(p, k)
-    step = _SIEVE_BLOCK // (k + 1)
-    out = []
-    for lo in range(0, p ** k, step):
-        tails = lo + np.flatnonzero(irreducible[lo : lo + step])
-        # zip over the columns yields coefficient tuples without a list per row
-        out.extend(PolyModP(p, row) for row in zip(*_monic_rows(p, k, tails).T.tolist()))
-    return out
+    return _monic_rows(p, k, np.flatnonzero(_irreducible_mask(p, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +302,21 @@ class ExtField:
     def power_ids(self) -> np.ndarray:
         """Ids of g^0, g^1, ..., g^(n-2) for the multiplicative generator g
         of least id, n = p^k: a permutation of the nonzero ids that starts
-        at 1. Walked once per field, in coefficient-tuple arithmetic, and
-        cached; refused past DEFAULT_ENUM_BUDGET entries.
+        at 1. Built once per field by doubling (g^0..g^(L-1) times g^L
+        gives g^L..g^(2L-1), then g^L is squared) and cached; refused past
+        DEFAULT_ENUM_BUDGET entries.
         """
         if self._powers is None:
             n = self.size
             _require_budget("power table", n, "entries")
-            g = _id_digits(self.p, self._generator_id())
-            cur: tuple[int, ...] = (1,)
-            powers = np.empty(n - 1, dtype=np.int64)
-            for i in range(n - 1):
-                powers[i] = _digits_id(self.p, cur)
-                cur = _pmod(self.p, _pmul(self.p, cur, g), self.modulus.coeffs)
-            assert cur == (1,) and (np.bincount(powers, minlength=n)[1:] == 1).all()
+            block = np.eye(1, self.k, dtype=np.int64)  # g^0 = 1
+            step = _monic_rows(self.p, self.k, np.array([self._generator_id()]))[:, : self.k]
+            while len(block) < n - 1:
+                block = np.concatenate([block, _mul(self, block[: n - 1 - len(block)], step)])
+                step = _mul(self, step, step)
+            powers = _ids(self.p, block)
+            # distinct powers: g has order n - 1, so g^(n-1) = 1
+            assert (np.bincount(powers, minlength=n)[1:] == 1).all()
             powers.flags.writeable = False  # every caller shares the cached table
             self._powers = powers
         return self._powers
@@ -425,39 +408,3 @@ def quad_char(field: ExtField, a: np.ndarray) -> np.ndarray:
         f"Euler's criterion in F_{field.p}^{field.k} gave a value other than 0, 1 or -1"
     )
     return np.where(c[:, 0] == field.p - 1, -1, c[:, 0]).astype(np.int8)
-
-
-def pattern_count(
-    field: ExtField,
-    positions: Sequence[int],
-    signs: Sequence[int],
-) -> int:
-    """Number of alpha in F_{p^k} with quad_char(alpha + i) = s for every
-    pair (i, s) of a position and a sign.
-
-    Positions are residues mod p (distinct after reduction); signs are +-1.
-    Full enumeration of the field, so char_table's budget applies.
-    """
-    if len(positions) != len(signs):
-        raise ValueError("positions and signs must have equal length")
-    if not positions:
-        raise ValueError("at least one (position, sign) pair is required")
-    p = field.p
-    pos = [int(i) % p for i in positions]
-    if len(set(pos)) != len(pos):
-        raise ValueError(f"positions must be distinct mod {p}, got {positions}")
-    for s in signs:
-        if s not in (-1, 1):
-            raise ValueError(f"signs must be +-1, got {s}")
-    chi = field.char_table()
-    pairs = list(zip(pos, signs))
-    count = 0
-    for ident in range(field.size):
-        c0 = ident % p
-        base = ident - c0
-        for i, s in pairs:
-            if chi[base + (c0 + i) % p] != s:
-                break
-        else:
-            count += 1
-    return count

@@ -1,17 +1,18 @@
 """Legendre symbol sequences attached to polynomials mod p, and the
 families of such sequences generated by all monic irreducibles of a
-fixed degree."""
+fixed degree; a family is one read-only int8 array, one row per member."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .gf import PolyModP, _require_budget, enumerate_irreducibles
+import numpy as np
+
+from .gf import _require_budget, enumerate_irreducibles
 from .ntheory import _require_cell, _require_odd_prime, count_irreducibles
 
 __all__ = [
     "legendre_symbol",
-    "LegendreSequence",
     "SequenceFamily",
     "build_family",
 ]
@@ -41,50 +42,28 @@ def legendre_symbol(a: int, p: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class LegendreSequence:
-    """The +-1 sequence e_n = (f(n)/p) for n = 1..p, with e_n = +1 patched
-    in wherever p divides f(n). Index n = p wraps to the value at 0."""
-
-    p: int
-    values: tuple[int, ...]
-    source: PolyModP | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
-        if len(self.values) != self.p:
-            raise ValueError(
-                f"sequence must have exactly p={self.p} entries, got {len(self.values)}"
-            )
-        for v in self.values:
-            if v not in (-1, 1):
-                raise ValueError(f"sequence entries must be +-1, got {v}")
-
-    def __len__(self) -> int:
-        return self.p
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceFamily:
-    """A family of length-p Legendre sequences sharing one prime p.
-
-    For the irreducible-polynomial family of degree k the members appear in
-    the enumeration order of their source polynomials, so member order is
-    reproducible.
-    """
+    """The length-p +-1 sequences of one family, as one read-only int8
+    array of shape (m, p): row b is member b, column n - 1 holds its e_n.
+    The cell, the shape and the entries are checked once, on a copy."""
 
     p: int
     k: int
-    members: tuple[LegendreSequence, ...]
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
         _require_cell(self.p, self.k)
-        for m in self.members:
-            if m.p != self.p:
-                raise ValueError(f"member prime {m.p} != family prime {self.p}")
+        if np.shape(self.rows)[1:] != (self.p,):
+            raise ValueError(f"rows must have shape (m, p={self.p}), got {np.shape(self.rows)}")
+        if not np.isin(self.rows, (-1, 1)).all():
+            raise ValueError("sequence entries must be +-1")
+        rows = np.array(self.rows, dtype=np.int8)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
 
 def _min_cell_bits(p: int, k: int) -> int:
@@ -96,7 +75,8 @@ def _min_cell_bits(p: int, k: int) -> int:
 
 def build_family(p: int, k: int) -> SequenceFamily:
     """The family of Legendre sequences of all monic irreducible degree-k
-    polynomials over F_p.
+    polynomials over F_p: row b is e_n = (f(n)/p), n = 1..p, patched to +1
+    where p divides f(n), for f in row b of enumerate_irreducibles(p, k).
 
     Two gates at DEFAULT_ENUM_BUDGET, both before any polynomial is
     sieved: the total number of stored sequence cells (members times p),
@@ -113,9 +93,11 @@ def build_family(p: int, k: int) -> SequenceFamily:
         _min_cell_bits(p, k),
     )
     # symbol[a] = (a/p), with the +1 patch at a = 0; e_p reads f(0)
-    symbol = [legendre_symbol(a, p) or 1 for a in range(p)]
-    members = tuple(
-        LegendreSequence(p, tuple(symbol[f.evaluate(n % p)] for n in range(1, p + 1)), f)
-        for f in enumerate_irreducibles(p, k)
-    )
-    return SequenceFamily(p, k, members)
+    symbol = np.array([legendre_symbol(a, p) or 1 for a in range(p)], dtype=np.int8)
+    coeffs = enumerate_irreducibles(p, k)
+    # one Horner pass over the coefficient columns, highest degree first
+    n = np.arange(1, p + 1) % p
+    values = np.zeros((len(coeffs), p), dtype=np.int64)
+    for c in coeffs.T[::-1]:
+        values = (values * n + c[:, None]) % p
+    return SequenceFamily(p, k, symbol[values])

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from legfam.bounds import _require_lemma4_inputs
+
 
 def w_bisect(x: float) -> float:
     """Principal-branch W(x) for x >= -1/e by pure bisection on w*e^w = x."""
@@ -327,3 +329,111 @@ def full_pattern_counts(bits, depth: int, prefix: tuple[int, ...] = (), sets=Non
     if len(prefix) + 1 < depth:
         for i, child in zip(range(start, p - 1), ext):
             yield from full_pattern_counts(bits, depth, prefix + (i,), child)
+
+
+def digits_id(p: int, coeffs) -> int:
+    """Element id of base-p digits, lowest first: sum_i c_i p^i."""
+    ident = 0
+    for c in reversed(tuple(coeffs)):
+        ident = ident * p + c
+    return ident
+
+
+def power_ids_by_walk(field) -> list[int]:
+    """Ids of g^0, ..., g^(n-2) for the generator g of least id of an
+    ExtField, walked one power at a time in schoolbook arithmetic modulo
+    the field's modulus: the reference for ExtField.power_ids."""
+    p, k = field.p, field.k
+    g = [field._generator_id() // p ** i % p for i in range(k)]
+    cur = [1] + [0] * (k - 1)
+    ids = []
+    for _ in range(field.size - 1):
+        ids.append(digits_id(p, cur))
+        cur = TinyField._mul_mod(cur, g, field.modulus.coeffs, p)
+    assert cur == [1] + [0] * (k - 1)
+    return ids
+
+
+def pattern_count(field, positions, signs) -> int:
+    """Number of alpha in F_{p^k} with chi(alpha + i) = s for every pair
+    (i, s) of a position and a sign, chi being field.char_table().
+
+    Positions are residues mod p (distinct after reduction); signs are +-1.
+    One element at a time over the whole field.
+    """
+    if len(positions) != len(signs):
+        raise ValueError("positions and signs must have equal length")
+    if not positions:
+        raise ValueError("at least one (position, sign) pair is required")
+    p = field.p
+    pos = [int(i) % p for i in positions]
+    if len(set(pos)) != len(pos):
+        raise ValueError(f"positions must be distinct mod {p}, got {positions}")
+    for s in signs:
+        if s not in (-1, 1):
+            raise ValueError(f"signs must be +-1, got {s}")
+    chi = field.char_table()
+    count = 0
+    for ident in range(field.size):
+        c0 = ident % p
+        base = ident - c0
+        if all(chi[base + (c0 + i) % p] == s for i, s in zip(pos, signs)):
+            count += 1
+    return count
+
+
+def satisfies_spec(family, positions, signs) -> bool:
+    """True when some row of family.rows matches every (position, sign)
+    constraint.
+
+    Positions are 1-based, strictly increasing, at most the sequence length
+    family.p. The empty pattern is satisfied vacuously, even by an empty
+    family.
+    """
+    if len(positions) != len(signs):
+        raise ValueError("positions and signs must have equal length")
+    if not positions:
+        return True
+    prev = 0
+    for i in positions:
+        if not prev < i <= family.p:
+            raise ValueError(
+                f"positions must be strictly increasing in [1, {family.p}], got {positions}"
+            )
+        prev = i
+    for s in signs:
+        if s not in (-1, 1):
+            raise ValueError(f"signs must be +-1, got {s}")
+    return any(
+        all(row[i - 1] == s for i, s in zip(positions, signs)) for row in family.rows.tolist()
+    )
+
+
+def lemma4_bisection_root(A: float, B: float) -> float:
+    """Root of B*x + x*log2(x) = A by pure bisection; no Lambert W anywhere.
+
+    The independent cross-check of bounds.lemma4_closed_form, with the
+    same input checks. The lower end 2^(-B-2) always starts negative
+    (there B + log2 x = -2 exactly), and g is increasing past its single
+    minimum, so doubling the upper end is guaranteed to bracket.
+    """
+    _require_lemma4_inputs(A, B)
+    lo = 2.0 ** (-B - 2.0)
+    if not math.isfinite(lo):
+        raise ValueError(f"B = {B} puts the bracket outside float range")
+
+    def g(x: float) -> float:
+        return x * (B + math.log2(x)) - A
+
+    hi = max(2.0 * lo, 2.0)
+    while g(hi) <= 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * lo:
+            break
+    return 0.5 * (lo + hi)

@@ -15,14 +15,13 @@ from legfam.bounds import (
     crossover_prime,
     guaranteed_j,
     gyarmati_bound,
-    lemma4_bisection_root,
     lemma4_closed_form,
     theorem1_bound,
     upper_bound,
 )
 from legfam.checks import check_weil
 from legfam.cli import main
-from legfam.fcomplexity import family_complexity, satisfies_spec
+from legfam.fcomplexity import family_complexity
 from legfam.lambertw import w0_complex, w0_from_log, w0_real
 from legfam.legendre_seq import build_family
 from legfam.ntheory import (
@@ -33,7 +32,12 @@ from legfam.ntheory import (
     primes_up_to,
 )
 import conftest
-from oracles import sieve_irreducible_counts, weil_reduced_size
+from oracles import (
+    lemma4_bisection_root,
+    satisfies_spec,
+    sieve_irreducible_counts,
+    weil_reduced_size,
+)
 
 
 def _report(n: int, message: str) -> None:

@@ -10,7 +10,6 @@ from legfam.bounds import (
     crossover_prime,
     guaranteed_j,
     gyarmati_bound,
-    lemma4_bisection_root,
     lemma4_closed_form,
     make_report,
     theorem1_bound,
@@ -18,7 +17,7 @@ from legfam.bounds import (
 )
 from legfam.errors import BudgetExceededError
 from legfam.ntheory import count_irreducibles, count_subfield_elements, primes_up_to
-from oracles import w_bisect
+from oracles import lemma4_bisection_root, w_bisect
 
 
 def test_compute_A_B_known_cells():

@@ -17,9 +17,9 @@ from legfam.checks import (
     run_suite,
     small_fields,
 )
-from legfam.gf import ExtField, pattern_count
+from legfam.gf import ExtField
 from legfam.ntheory import count_subfield_elements
-from oracles import full_pattern_counts, weil_reduced_size, weil_sweep_size
+from oracles import full_pattern_counts, pattern_count, weil_reduced_size, weil_sweep_size
 
 
 def test_small_fields_enumeration():
@@ -126,6 +126,18 @@ def test_reduced_weil_sweep_matches_the_full_reference(size_limit, j_max, full_c
         made += sum(s[3] for s in want.values()) + gj
     assert made == weil_sweep_size(size_limit, j_max, guaranteed_j) == full_count
     assert check_weil(size_limit, j_max).ok == verdict
+
+
+def test_sign_bitsets_gather_equals_one_roll_per_shift():
+    # the one gather over digit (c + i) mod p gives the bitsets that p
+    # separate rotations of the lowest digit gave
+    for p, k in small_fields(169):
+        chi = ExtField(p, k).char_table()
+        mat = chi.reshape(-1, p)
+        shifts = np.stack([np.roll(mat, -i, axis=1).reshape(-1) for i in range(p)])
+        packed = np.packbits(np.stack([shifts == -1, shifts == 1], axis=1), axis=-1)
+        rolled = np.pad(packed, ((0, 0), (0, 0), (0, -packed.shape[-1] % 8))).view(np.uint64)
+        assert np.array_equal(_sign_bitsets(chi, p), rolled), (p, k)
 
 
 def test_weil_limit_is_the_slack_decided_exactly():

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,22 +13,17 @@ from legfam.fcomplexity import (
     _level_cost,
     _search_level,
     family_complexity,
-    satisfies_spec,
 )
-from legfam.gf import PolyModP
-from legfam.legendre_seq import LegendreSequence, SequenceFamily, build_family
-from oracles import family_complexity_by_patterns, legendre_direct
+from legfam.legendre_seq import SequenceFamily, build_family
+from oracles import family_complexity_by_patterns, legendre_direct, satisfies_spec
 
 # the cells of the benchmark's oracle workload
 BENCHMARK_CELLS = ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3))
 
 
 def _fake_family(p: int, rows: list[tuple[int, ...]], k: int = 1) -> SequenceFamily:
-    # wrap raw +-1 rows; the source polynomial is a placeholder
-    dummy = PolyModP(p, (0, 1))
-    return SequenceFamily(
-        p, k, tuple(LegendreSequence(p, row, dummy) for row in rows)
-    )
+    # wrap raw +-1 rows, none at all included
+    return SequenceFamily(p, k, np.array(rows, dtype=np.int8).reshape(-1, p))
 
 
 def _image(row: tuple[int, ...], p: int, k: int, c: int, a: int) -> tuple[int, ...]:
@@ -39,10 +36,10 @@ def _image(row: tuple[int, ...], p: int, k: int, c: int, a: int) -> tuple[int, .
 def _columns(fam: SequenceFamily) -> tuple[list[int], int]:
     # the search's input: one member bitmask per position, and all members
     plus = [
-        sum(1 << b for b, m in enumerate(fam.members) if m.values[i] == 1)
+        sum(1 << b for b, row in enumerate(fam.rows.tolist()) if row[i] == 1)
         for i in range(fam.p)
     ]
-    return plus, (1 << len(fam.members)) - 1
+    return plus, (1 << len(fam)) - 1
 
 
 def test_empty_family_has_gamma_zero():
@@ -90,7 +87,7 @@ def test_trivial_upper_bound_respected():
     for p, k in ((3, 2), (5, 2), (7, 2), (11, 2)):
         fam = build_family(p, k)
         res = family_complexity(fam)
-        assert 2 ** res.gamma <= len(fam.members)
+        assert 2 ** res.gamma <= len(fam)
 
 
 def test_witness_is_lexicographically_first():
@@ -197,8 +194,8 @@ def test_budget_error_keeps_every_verified_level(family_13_2_flipped):
 @settings(max_examples=40, deadline=None)
 def test_gamma_monotone_under_member_removal(mask):
     fam = build_family(5, 2)
-    kept = tuple(m for i, m in enumerate(fam.members) if not (mask >> i) & 1)
-    sub = SequenceFamily(5, 2, kept)
+    kept = [i for i in range(len(fam)) if not (mask >> i) & 1]
+    sub = SequenceFamily(5, 2, fam.rows[kept])
     full = family_complexity(fam).gamma
     assert family_complexity(sub).gamma <= full
 
@@ -235,7 +232,7 @@ def test_reduced_level_cost():
 def test_matches_pattern_reading_reference(p, k):
     fam = build_family(p, k)
     res = family_complexity(fam)
-    rows = [m.values for m in fam.members]
+    rows = fam.rows.tolist()
     assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p)
 
 
@@ -300,7 +297,7 @@ def test_degree_one_families_are_closed_under_translation_only(p):
     fam = build_family(p, 1)
     res = family_complexity(fam)
     assert res.reduction == "translation"
-    rows = [m.values for m in fam.members]
+    rows = fam.rows.tolist()
     assert (res.gamma, res.witness_failure) == family_complexity_by_patterns(rows, p)
 
 
@@ -336,3 +333,21 @@ def test_levels_account_for_every_split(fam, j_cap):
     assert all(ns >= 0 for _, ns in res.levels)
     searched = res.gamma if res.witness_failure is None else res.gamma + 1
     assert len(res.levels) == searched
+
+
+@pytest.mark.parametrize(
+    "cell", [(13, 2), (11, 3), (7, 1), "flipped"], ids=["13-2", "11-3", "7-1", "flipped"]
+)
+def test_shuffled_rows_leave_the_result_unchanged(cell, family_13_2_flipped):
+    # family complexity depends only on the multiset of rows: gamma, the
+    # witness, the splits of every level and the reduction all stay put
+    fam = family_13_2_flipped if cell == "flipped" else build_family(*cell)
+    order = list(range(len(fam)))
+    random.Random(16).shuffle(order)
+    shuffled = SequenceFamily(fam.p, fam.k, fam.rows[order])
+    assert shuffled.rows.tolist() != fam.rows.tolist()
+    want, got = family_complexity(fam), family_complexity(shuffled)
+    assert (got.gamma, got.witness_failure) == (want.gamma, want.witness_failure)
+    assert got.cells_examined == want.cells_examined
+    assert [s for s, _ in got.levels] == [s for s, _ in want.levels]
+    assert got.reduction == want.reduction

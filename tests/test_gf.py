@@ -12,19 +12,18 @@ from legfam.errors import BudgetExceededError
 from legfam.gf import (
     ExtField,
     PolyModP,
-    _digits_id,
     _id_digits,
     _mul,
+    _poly_str,
     _pow,
     _rabin_irreducible,
     enumerate_irreducibles,
     norm,
-    pattern_count,
     quad_char,
 )
 from legfam.legendre_seq import legendre_symbol
 from legfam.ntheory import count_irreducibles, divisors, is_prime
-from oracles import TinyField, _fp_irreducible
+from oracles import TinyField, _fp_irreducible, digits_id, pattern_count, power_ids_by_walk
 
 # the cells of the benchmark's oracle workload
 ORACLE_CELLS = ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3))
@@ -37,11 +36,6 @@ def test_poly_strips_trailing_zeros_and_reduces():
     assert PolyModP(7, ()).coeffs == ()
 
 
-def test_poly_eval_horner():
-    f = PolyModP(5, (1, 0, 1))  # x^2 + 1
-    assert [f.evaluate(x) for x in range(5)] == [1, 2, 0, 0, 2]
-
-
 def test_poly_rejects_even_or_composite_characteristic():
     with pytest.raises(ValueError):
         PolyModP(2, (1, 1))
@@ -51,8 +45,11 @@ def test_poly_rejects_even_or_composite_characteristic():
 
 def test_enumerate_irreducibles_3_2_exact():
     got = enumerate_irreducibles(3, 2)
-    assert [f.coeffs for f in got] == [(1, 0, 1), (2, 1, 1), (2, 2, 1)]
-    assert [str(f) for f in got] == ["x^2 + 1", "x^2 + x + 2", "x^2 + 2*x + 2"]
+    assert got.dtype == np.int64
+    assert got.tolist() == [[1, 0, 1], [2, 1, 1], [2, 2, 1]]
+    assert [_poly_str(tuple(row)) for row in got.tolist()] == [
+        "x^2 + 1", "x^2 + x + 2", "x^2 + 2*x + 2"
+    ]
 
 
 def test_enumerate_counts_match_formula():
@@ -60,10 +57,10 @@ def test_enumerate_counts_match_formula():
 
     for p, k in ((3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 4)):
         polys = enumerate_irreducibles(p, k)
-        assert len(polys) == count_irreducibles(p, k)
-        assert all(f.is_monic and f.degree == k for f in polys)
+        assert polys.shape == (count_irreducibles(p, k), k + 1)
+        assert (polys[:, -1] == 1).all() and ((0 <= polys) & (polys < p)).all()
         # enumeration order: sorted by reversed coefficient tuple
-        keys = [tuple(reversed(f.coeffs)) for f in polys]
+        keys = [tuple(reversed(row)) for row in polys.tolist()]
         assert keys == sorted(keys)
 
 
@@ -94,7 +91,7 @@ def rabin_enumeration(p: int, k: int) -> list[tuple[int, ...]]:
 
 def test_sieve_equals_rabin_enumeration_in_order():
     for p, k in small_fields(4096) + list(ORACLE_CELLS):
-        got = [f.coeffs for f in enumerate_irreducibles(p, k)]
+        got = list(map(tuple, enumerate_irreducibles(p, k).tolist()))
         assert got == rabin_enumeration(p, k), (p, k)
 
 
@@ -107,16 +104,17 @@ def test_sieve_equals_rabin_enumeration_in_order():
 def test_sieve_membership_matches_trial_division(cell, data):
     p, k = cell
     tail = data.draw(st.tuples(*[st.integers(0, p - 1)] * k))
-    f = PolyModP(p, tail + (1,))
-    found = {g.coeffs for g in enumerate_irreducibles(p, k)}
-    assert (f.coeffs in found) == _fp_irreducible(f.coeffs, p)
+    f = tail + (1,)
+    found = set(map(tuple, enumerate_irreducibles(p, k).tolist()))
+    assert (f in found) == _fp_irreducible(f, p)
 
 
 def test_default_modulus_is_first_enumerated_irreducible():
     # ExtField finds its modulus lazily by Rabin; the sieve must agree
     cells = [(p, k) for p, k in small_fields(4096) if k >= 2]
     for p, k in cells + [(3, 1), (13, 1), (1021, 1), (3, 12), (7, 7)]:
-        assert ExtField(p, k).modulus == enumerate_irreducibles(p, k)[0], (p, k)
+        first = tuple(enumerate_irreducibles(p, k)[0].tolist())
+        assert ExtField(p, k).modulus == PolyModP(p, first), (p, k)
 
 
 def test_default_modulus_search_is_lazy_in_p():
@@ -130,8 +128,8 @@ def test_default_modulus_search_is_lazy_in_p():
 @pytest.mark.parametrize("p,k", [(1021, 2), (101, 3), (3, 12)])
 def test_sieve_count_on_large_tables(p, k):
     polys = enumerate_irreducibles(p, k)
-    assert len(polys) == count_irreducibles(p, k)
-    assert polys[0].degree == polys[-1].degree == k
+    assert polys.shape == (count_irreducibles(p, k), k + 1)
+    assert polys[0, -1] == polys[-1, -1] == 1
 
 
 def ids_of(F: ExtField, a: np.ndarray) -> np.ndarray:
@@ -146,7 +144,7 @@ def test_ext_field_construction_and_ids():
     els = F.elements()
     assert els.shape == (9, 2) and els.dtype == np.int64
     for i in range(9):
-        assert _digits_id(3, tuple(els[i].tolist())) == i
+        assert digits_id(3, els[i].tolist()) == i
         assert tuple(els[i].tolist()) == (_id_digits(3, i) + (0, 0))[:2]
     assert els[0].tolist() == [0, 0]  # zero
     assert els[1].tolist() == [1, 0]  # one
@@ -277,6 +275,14 @@ def test_power_ids_walk_the_generator():
         g = np.repeat(els[[powers[1]]], F.size - 2, axis=0)
         assert (ids_of(F, _mul(F, els[powers[:-1]], g)) == powers[1:]).all(), (p, k)
         assert_full_order(F, int(powers[1]))
+
+
+def test_power_ids_match_the_tuple_walk():
+    # the doubling builds the same table as walking g^0, g^1, ... one
+    # power at a time, on every field of up to 2^12 elements
+    for p, k in small_fields(4096):
+        F = ExtField(p, k)
+        assert F.power_ids().tolist() == power_ids_by_walk(F), (p, k)
 
 
 def refuse_work(*args, **kwargs):

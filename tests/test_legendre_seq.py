@@ -1,15 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from legfam.errors import BudgetExceededError
 from legfam import gf, legendre_seq
-from legfam.gf import PolyModP
-from legfam.legendre_seq import (
-    LegendreSequence,
-    build_family,
-    legendre_symbol,
-)
+from legfam.gf import enumerate_irreducibles
+from legfam.legendre_seq import SequenceFamily, build_family, legendre_symbol
 from legfam.ntheory import count_irreducibles, primes_up_to
 from oracles import legendre_direct
 
@@ -44,54 +41,56 @@ def test_legendre_symbol_balance():
 
 
 def test_build_sequence_examples():
-    # one member per source polynomial: x over F_5, x^2 + 1 and x + 1 over F_3
+    # row b belongs to row b of the enumeration: x over F_5, x^2 + 1 and
+    # x + 1 over F_3
     for (p, k), coeffs, values in (
         ((5, 1), (0, 1), (1, -1, -1, 1, 1)),
         ((3, 2), (1, 0, 1), (-1, -1, 1)),
         ((3, 1), (1, 1), (-1, 1, 1)),
     ):
-        by_source = {m.source.coeffs: m.values for m in build_family(p, k).members}
+        polys = enumerate_irreducibles(p, k).tolist()
+        by_source = dict(zip(map(tuple, polys), map(tuple, build_family(p, k).rows.tolist())))
         assert by_source[coeffs] == values, (p, k, coeffs)
 
 
 def test_build_sequence_index_convention():
     # e_n uses f(n) for n = 1..p-1 and f(0) at n = p; zeros patch to +1
-    seq = build_family(7, 1).members[0]
-    assert seq.source.coeffs == (0, 1)  # f(x) = x
+    seq = build_family(7, 1).rows[0]
+    assert enumerate_irreducibles(7, 1)[0].tolist() == [0, 1]  # f(x) = x
     assert len(seq) == 7
     for n in range(1, 7):
-        assert seq.values[n - 1] == legendre_symbol(n, 7)
-    assert seq.values[6] == 1  # f(0) = 0 patches to +1
+        assert seq[n - 1] == legendre_symbol(n, 7)
+    assert seq[6] == 1  # f(0) = 0 patches to +1
 
 
 def test_sequence_weil_sum_bound():
     # Weil: the character sum of a squarefree non-square f has size at most
     # (deg f - 1) sqrt(p); irreducibles of degree 2 have no zeros to patch
     for p in (11, 13, 17):
-        for member in build_family(p, 2).members:
-            assert abs(sum(member.values)) <= 2 * math.isqrt(p) + 1, (p, member.source)
+        for b, row in enumerate(build_family(p, 2).rows.tolist()):
+            assert abs(sum(row)) <= 2 * math.isqrt(p) + 1, (p, b)
 
 
 def test_build_family_3_2():
     fam = build_family(3, 2)
     assert fam.p == 3 and fam.k == 2
-    assert [m.values for m in fam.members] == [
-        (-1, -1, 1),
-        (1, -1, -1),
-        (-1, 1, -1),
+    assert fam.rows.tolist() == [
+        [-1, -1, 1],
+        [1, -1, -1],
+        [-1, 1, -1],
     ]
 
 
 def test_build_family_sizes():
     for p, k in ((3, 1), (5, 1), (5, 2), (7, 2), (3, 3)):
         fam = build_family(p, k)
-        assert len(fam.members) == count_irreducibles(p, k)
-        assert all(len(m) == p for m in fam.members)
+        assert len(fam) == count_irreducibles(p, k)
+        assert fam.rows.shape == (len(fam), p) and fam.rows.dtype == np.int8
 
 
 def test_build_family_members_are_distinct():
     fam = build_family(7, 2)
-    assert len({m.values for m in fam.members}) == len(fam.members)
+    assert len({tuple(row) for row in fam.rows.tolist()}) == len(fam)
 
 
 def test_build_family_budget(monkeypatch):
@@ -131,19 +130,32 @@ def test_build_family_rejects_bad_p():
 
 
 def test_sequence_dataclass_validation():
-    with pytest.raises(ValueError):
-        LegendreSequence(5, (1, -1, 1), PolyModP(5, (0, 1)))  # wrong length
-    with pytest.raises(ValueError):
-        LegendreSequence(5, (1, -1, 2, 1, 1), PolyModP(5, (0, 1)))  # bad symbol
+    with pytest.raises(ValueError, match="shape"):
+        SequenceFamily(5, 1, [(1, -1, 1)])  # wrong length
+    with pytest.raises(ValueError, match="shape"):
+        SequenceFamily(5, 1, (1, -1, 1, 1, 1))  # one row, not an array of rows
+    with pytest.raises(ValueError, match="entries must be"):
+        SequenceFamily(5, 1, [(1, -1, 2, 1, 1)])  # bad symbol
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        SequenceFamily(4, 1, [(1, -1, 1, 1)])
+    given = np.array([(1, -1, 1, 1, 1)])
+    fam = SequenceFamily(5, 1, given)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.rows[0, 0] = -1
+    given[0, 0] = -1  # the family holds a copy
+    assert fam.rows.tolist() == [[1, -1, 1, 1, 1]]
 
 
 @pytest.mark.parametrize(
     "p,k", [(3, 2), (5, 1), (5, 2), (7, 1), (13, 2), (29, 2), (13, 3), (3, 4)]
 )
 def test_family_values_match_direct_symbols(p, k):
-    # every member, every position, from the definition of (a/p)
+    # every member, every position, from the definition of (a/p): row b
+    # is the sequence of the enumeration's row b, evaluated term by term
     fam = build_family(p, k)
+    polys = enumerate_irreducibles(p, k).tolist()
+    assert len(fam) == len(polys)
     symbol = [legendre_direct(a, p) or 1 for a in range(p)]
-    for member in fam.members:
-        f = member.source
-        assert member.values == tuple(symbol[f.evaluate(n)] for n in range(1, p + 1))
+    for row, coeffs in zip(fam.rows.tolist(), polys):
+        value = [sum(c * n ** i for i, c in enumerate(coeffs)) % p for n in range(1, p + 1)]
+        assert row == [symbol[v] for v in value], coeffs
