@@ -1,10 +1,10 @@
 """Polynomials over F_p, their irreducibility, and extension fields F_{p^k}.
 
 Coefficient vectors are stored lowest degree first: as array rows, or as
-a modulus tuple with no trailing zeros. Extension fields are F_p[x]/(m)
-for a monic irreducible m; when no modulus is given, the lexicographically
-first irreducible of the right degree is used so that every construction
-is reproducible run to run.
+a modulus tuple with no trailing zeros. One sieve decides irreducibility.
+Extension fields are F_p[x]/(m) for a monic irreducible m; when no modulus
+is given, the lexicographically first irreducible of the right degree is
+used so that every construction is reproducible run to run.
 
 Only odd prime characteristics are accepted: the quadratic character that
 everything downstream consumes does not exist in characteristic 2.
@@ -13,7 +13,7 @@ everything downstream consumes does not exist in characteristic 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -60,75 +60,12 @@ def _require_budget(
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-tuple arithmetic (lowest degree first, normalized)
+# coefficient tuples (lowest degree first, normalized), for PolyModP
 
 def _norm(cs: list[int]) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def _psub(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _norm(out)
-
-
-def _pmul(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _norm(out)
-
-
-def _pmod(p: int, a: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
-    # remainder of a by a nonzero m, by long division
-    dm = len(m) - 1
-    if len(a) - 1 < dm:
-        return a
-    rem = list(a)
-    lead_inv = pow(m[-1], p - 2, p)
-    for i in range(len(a) - dm - 1, -1, -1):
-        c = rem[i + dm]
-        if c:
-            c = c * lead_inv % p
-            for t in range(dm + 1):
-                rem[i + t] = (rem[i + t] - c * m[t]) % p
-    return _norm(rem[:dm])
-
-
-def _ppowmod(
-    p: int, a: tuple[int, ...], e: int, m: tuple[int, ...]
-) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = _pmod(p, a, m)
-    while e:
-        if e & 1:
-            result = _pmod(p, _pmul(p, result, base), m)
-        base = _pmod(p, _pmul(p, base, base), m)
-        e >>= 1
-    return result
-
-
-def _pgcd(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # a greatest common divisor, up to a constant factor
-    while b:
-        a, b = b, _pmod(p, a, b)
-    return a
-
-
-def _id_digits(p: int, ident: int) -> tuple[int, ...]:
-    # base-p digits of an element id, lowest first: the coefficient tuple
-    digits = []
-    while ident:
-        ident, c = divmod(ident, p)
-        digits.append(c)
-    return tuple(digits)
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:
@@ -177,33 +114,12 @@ class PolyModP:
         return f"PolyModP(p={self.p}, {_poly_str(self.coeffs)})"
 
 
-def _rabin_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
-    # Rabin's test: x^(p^k) = x mod f, and x^(p^(k/r)) - x coprime to f
-    # for every prime r dividing k.
-    k = len(coeffs) - 1
-    if k == 1:
-        return True
-    x = (0, 1)
-    for r in filter(is_prime, divisors(k)):
-        h = _ppowmod(p, x, p ** (k // r), coeffs)
-        if len(_pgcd(p, _psub(p, h, x), coeffs)) != 1:
-            return False
-    return _ppowmod(p, x, p ** k, coeffs) == x
-
-
-def _monic_irreducibles(p: int, k: int) -> Iterator[tuple[int, ...]]:
-    # coefficient tuples (lowest first) in enumerate_irreducibles' order, one
-    # Rabin test each; ascending tail id is that order, and the walk is lazy
-    # in p and k, so ExtField takes the first without scanning p^k
-    for tail in range(p ** k):
-        digits = _id_digits(p, tail)
-        coeffs = digits + (0,) * (k - len(digits)) + (1,)
-        if _rabin_irreducible(p, coeffs):
-            yield coeffs
-
-
 # most int64 entries in one temporary array of the sieve (128 KiB)
 _SIEVE_BLOCK = 1 << 14
+
+# candidate ids per round of the generator search: on every field up to
+# 2^12 elements the least generator lies within 22 ids of the start
+_GENERATOR_BLOCK = 16
 
 
 def _monic_rows(p: int, k: int, tails: np.ndarray) -> np.ndarray:
@@ -246,23 +162,32 @@ def _irreducible_mask(p: int, k: int) -> np.ndarray:
     return irreducible
 
 
+def _sieve(p: int, k: int) -> np.ndarray:
+    # _irreducible_mask behind the budget gate on its p^k candidates; a
+    # huge k is refused from bit lengths, before p^k is built
+    what = f"enumerating degree-{k} polynomials over F_{p}"
+    _require_budget(what, lambda: p ** k, "candidates", (p.bit_length() - 1) * k + 1)
+    return _irreducible_mask(p, k)
+
+
 def enumerate_irreducibles(p: int, k: int) -> np.ndarray:
     """All monic irreducible degree-k polynomials over F_p, as the rows
     (a_0, ..., a_{k-1}, 1) of an (m, k + 1) int64 array.
 
     Rows are ordered lexicographically by (a_{k-1}, ..., a_0), i.e.
     x^2 + 1 before x^2 + x + 2 before x^2 + 2x + 2 for p = 3. Refuses
-    to scan more than DEFAULT_ENUM_BUDGET candidates (p^k of them).
+    to scan more than DEFAULT_ENUM_BUDGET candidates (p^k of them), a
+    huge k from bit lengths alone.
 
     The candidates are sieved, not tested one by one: every product of a
     monic irreducible of degree d <= k/2 (sieved the same way) with a
     monic polynomial of degree k - d is marked reducible in a table of p^k
-    flags, with numpy computing the products in blocks of 2^14. Rabin's
-    test stays behind ExtField's modulus.
+    flags, with numpy computing the products in blocks of 2^14. The same
+    table picks and checks an ExtField's modulus; it is the package's only
+    irreducibility test.
     """
     _require_cell(p, k)
-    _require_budget(f"enumerating degree-{k} polynomials over F_{p}", p ** k, "candidates")
-    return _monic_rows(p, k, np.flatnonzero(_irreducible_mask(p, k)))
+    return _monic_rows(p, k, np.flatnonzero(_sieve(p, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +199,31 @@ class ExtField:
     Elements are indexed by id = sum_i c_i p^i over the representative's
     coefficients, so id 0 is zero, id 1 is one and id p is the generator
     image x.
+
+    The default modulus is the first of enumerate_irreducibles(p, k). For
+    k >= 2 a modulus is picked or checked in that sieve's table, so a field
+    past DEFAULT_ENUM_BUDGET elements is refused here; k = 1 needs no table
+    (x is the default, and every monic linear polynomial is irreducible).
     """
 
     def __init__(self, p: int, k: int, modulus: PolyModP | None = None):
         _require_cell(p, k)
-        if modulus is None:
-            modulus = PolyModP(p, next(_monic_irreducibles(p, k)))
-        else:
+        if modulus is not None:
             if modulus.p != p:
                 raise ValueError(f"modulus characteristic {modulus.p} != {p}")
             if modulus.degree != k:
                 raise ValueError(f"modulus degree {modulus.degree} != {k}")
-            if not modulus.is_monic or not _rabin_irreducible(p, modulus.coeffs):
+            if not modulus.is_monic:
                 raise ValueError(f"modulus must be monic irreducible, got {modulus!r}")
+        if k >= 2:
+            irreducible = _sieve(p, k)
+            if modulus is None:
+                first = np.argmax(irreducible)  # a flag is set: irreducibles exist
+                modulus = PolyModP(p, tuple(_monic_rows(p, k, np.array([first]))[0]))
+            elif not irreducible[_ids(p, np.array([modulus.coeffs[:k]]))[0]]:
+                raise ValueError(f"modulus must be monic irreducible, got {modulus!r}")
+        elif modulus is None:
+            modulus = PolyModP(p, (0, 1))
         self.p = p
         self.k = k
         self.modulus = modulus
@@ -334,17 +271,18 @@ class ExtField:
         return chi
 
     def _generator_id(self) -> int:
-        # scan ids upward; for k >= 2 constants cannot generate (their order
-        # divides p - 1), so the scan starts at id p, the element x
-        n = self.size
+        # the least id of full order: a^((n-1)/q) != 1 for every prime q
+        # dividing n - 1, tested on a block of ids at a time. For k >= 2
+        # constants cannot generate (their order divides p - 1), so the
+        # scan starts at id p, the element x
+        p, k, n = self.p, self.k, self.size
         factors = list(filter(is_prime, divisors(n - 1)))
-        for ident in range(2 if self.k == 1 else self.p, n):
-            cand = _id_digits(self.p, ident)
-            if all(
-                _ppowmod(self.p, cand, (n - 1) // q, self.modulus.coeffs) != (1,)
-                for q in factors
-            ):
-                return ident
+        for lo in range(2 if k == 1 else p, n, _GENERATOR_BLOCK):
+            ids = np.arange(lo, min(lo + _GENERATOR_BLOCK, n))
+            cand = _monic_rows(p, k, ids)[:, :k]
+            full = np.all([_ids(p, _pow(self, cand, (n - 1) // q)) != 1 for q in factors], axis=0)
+            if full.any():
+                return int(ids[np.argmax(full)])
         raise AssertionError(f"no generator found for F_{self.p}^{self.k}")
 
     def __repr__(self) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import time
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from legfam.errors import BudgetExceededError
 from legfam.gf import (
     ExtField,
     PolyModP,
-    _id_digits,
     _mul,
     _poly_str,
     _pow,
-    _rabin_irreducible,
     enumerate_irreducibles,
     norm,
     quad_char,
@@ -65,10 +64,16 @@ def test_enumerate_counts_match_formula():
 
 
 def test_is_irreducible_matches_trial_division():
+    # a given monic modulus is accepted iff trial division finds it irreducible
     for p, k in ((3, 2), (3, 3), (5, 2), (7, 2), (3, 4)):
         for t in itertools.product(range(p), repeat=k):
             coeffs = t + (1,)
-            assert _rabin_irreducible(p, coeffs) == _fp_irreducible(coeffs, p), (p, coeffs)
+            try:
+                ExtField(p, k, modulus=PolyModP(p, coeffs))
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == _fp_irreducible(coeffs, p), (p, coeffs)
 
 
 def test_enumerate_budget(monkeypatch):
@@ -77,22 +82,25 @@ def test_enumerate_budget(monkeypatch):
     monkeypatch.setattr(gf, "_irreducible_mask", None)
     with pytest.raises(BudgetExceededError, match="1062961 candidates"):
         enumerate_irreducibles(1031, 2)
-    # 3^10000 has 4772 digits, past what Python converts to a string, so the
-    # refusal names a power of two it reaches
-    with pytest.raises(BudgetExceededError, match=r"needs at least 2\^15849 candidates"):
+    # ExtField picks its modulus from the same sieve, behind the same gate
+    with pytest.raises(BudgetExceededError, match="1062961 candidates"):
+        ExtField(1031, 2)
+    # 3^10000 is refused from bit lengths before it is built: it has at
+    # least (bitlen 3 - 1) * 10000 + 1 bits, so the refusal names 2^10000
+    with pytest.raises(BudgetExceededError, match=r"needs at least 2\^10000 candidates"):
         enumerate_irreducibles(3, 10_000)
 
 
-def rabin_enumeration(p: int, k: int) -> list[tuple[int, ...]]:
-    # one Rabin test per candidate, in (a_{k-1}, ..., a_0) lex order
+def trial_division_enumeration(p: int, k: int) -> Iterator[tuple[int, ...]]:
+    # one trial division per candidate, in (a_{k-1}, ..., a_0) lex order
     candidates = (tuple(reversed(t)) + (1,) for t in itertools.product(range(p), repeat=k))
-    return [c for c in candidates if _rabin_irreducible(p, c)]
+    return (c for c in candidates if _fp_irreducible(c, p))
 
 
-def test_sieve_equals_rabin_enumeration_in_order():
+def test_sieve_equals_trial_division_enumeration_in_order():
     for p, k in small_fields(4096) + list(ORACLE_CELLS):
         got = list(map(tuple, enumerate_irreducibles(p, k).tolist()))
-        assert got == rabin_enumeration(p, k), (p, k)
+        assert got == list(trial_division_enumeration(p, k)), (p, k)
 
 
 @given(
@@ -109,20 +117,75 @@ def test_sieve_membership_matches_trial_division(cell, data):
     assert (f in found) == _fp_irreducible(f, p)
 
 
+# every field of up to 2^12 elements, plus a larger prime field and two
+# extension fields near the 2^20 budget
+PINNED_FIELDS = small_fields(4096) + [(1021, 1), (3, 12), (7, 7)]
+
+
 def test_default_modulus_is_first_enumerated_irreducible():
-    # ExtField finds its modulus lazily by Rabin; the sieve must agree
-    cells = [(p, k) for p, k in small_fields(4096) if k >= 2]
-    for p, k in cells + [(3, 1), (13, 1), (1021, 1), (3, 12), (7, 7)]:
-        first = tuple(enumerate_irreducibles(p, k)[0].tolist())
+    # ExtField takes its modulus from the sieve; trial division, walking
+    # the candidates in the same order, must find the same one first
+    for p, k in PINNED_FIELDS:
+        first = next(trial_division_enumeration(p, k))
         assert ExtField(p, k).modulus == PolyModP(p, first), (p, k)
 
 
-def test_default_modulus_search_is_lazy_in_p():
-    # the first candidates are tried without listing F_p: x^2 + 1 is
-    # irreducible since 2^31 - 1 = 3 mod 4
-    t0 = time.perf_counter()
-    assert ExtField(2147483647, 2).modulus.coeffs == (1, 0, 1)
-    assert time.perf_counter() - t0 < 0.5
+def prime_factors(m: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def least_generator_id(p: int, k: int, modulus: tuple[int, ...]) -> int:
+    # the least id a with a^((n-1)/q) != 1 for every prime q | n - 1: by
+    # plain pow for k = 1, and for k >= 2 by square-and-multiply in the
+    # schoolbook arithmetic modulo the given modulus
+    n = p ** k
+    one = [1] + [0] * (k - 1)
+    factors = prime_factors(n - 1)
+
+    def power(a: list[int], e: int) -> list[int]:
+        out = one
+        while e:
+            if e & 1:
+                out = TinyField._mul_mod(out, a, modulus, p)
+            a = TinyField._mul_mod(a, a, modulus, p)
+            e >>= 1
+        return out
+
+    for ident in range(2, n):
+        if k == 1:
+            full = all(pow(ident, (n - 1) // q, p) != 1 for q in factors)
+        else:
+            a = [ident // p ** i % p for i in range(k)]
+            full = all(power(a, (n - 1) // q) != one for q in factors)
+        if full:
+            return ident
+    raise AssertionError(f"no generator of F_{p}^{k}")
+
+
+def test_generator_id_is_the_least_of_full_order():
+    for p, k in PINNED_FIELDS:
+        F = ExtField(p, k)
+        assert F._generator_id() == least_generator_id(p, k, F.modulus.coeffs), (p, k)
+
+
+def test_huge_fields_refuse_at_construction(monkeypatch):
+    # refused from bit lengths before the sieve runs or p^k is built:
+    # 3^(10^7) alone takes seconds, and (2^31 - 1)^2 > 2^60
+    monkeypatch.setattr(gf, "_irreducible_mask", refuse_work)
+    for p, k in ((3, 10 ** 7), (3, 200), (2147483647, 2)):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            ExtField(p, k)
+        assert time.perf_counter() - t0 < 0.5, (p, k)
 
 
 @pytest.mark.parametrize("p,k", [(1021, 2), (101, 3), (3, 12)])
@@ -145,7 +208,7 @@ def test_ext_field_construction_and_ids():
     assert els.shape == (9, 2) and els.dtype == np.int64
     for i in range(9):
         assert digits_id(3, els[i].tolist()) == i
-        assert tuple(els[i].tolist()) == (_id_digits(3, i) + (0, 0))[:2]
+        assert tuple(els[i].tolist()) == (i % 3, i // 3)
     assert els[0].tolist() == [0, 0]  # zero
     assert els[1].tolist() == [1, 0]  # one
     assert els[3].tolist() == [0, 1]  # x
@@ -290,9 +353,9 @@ def refuse_work(*args, **kwargs):
 
 
 def test_char_table_budget(monkeypatch):
-    # 1031^2 = 1,062,961 entries, past the 2^20 enumeration budget:
-    # refused before the generator search or any digit array
-    F = ExtField(1031, 2)
+    # 1048583 entries, past the 2^20 enumeration budget: refused before
+    # the generator search or any digit array
+    F = ExtField(1048583, 1)
     monkeypatch.setattr(ExtField, "_generator_id", refuse_work)
     monkeypatch.setattr(gf, "_monic_rows", refuse_work)
     with pytest.raises(BudgetExceededError):
@@ -332,8 +395,8 @@ def test_pattern_count_validates_inputs():
 
 
 def test_elements_budget(monkeypatch):
-    # refused before any digit array: 1031^2 > 2^20
-    F = ExtField(1031, 2)
+    # refused before any digit array: 1048583 > 2^20
+    F = ExtField(1048583, 1)
     monkeypatch.setattr(ExtField, "_generator_id", refuse_work)
     monkeypatch.setattr(gf, "_monic_rows", refuse_work)
     with pytest.raises(BudgetExceededError):
