@@ -21,7 +21,7 @@ from .bounds import (
 from .checks import CheckReport, check_corollary1, check_gauss, check_weil, run_suite
 from .errors import BudgetExceededError
 from .fcomplexity import ComplexityResult, family_complexity
-from .gf import ExtField, PolyModP, enumerate_irreducibles
+from .gf import ExtField, enumerate_irreducibles
 from .lambertw import ConvergenceError, WResult, w0_complex, w0_from_log, w0_real
 from .legendre_seq import SequenceFamily, build_family, legendre_symbol
 from .ntheory import (
@@ -44,7 +44,6 @@ __all__ = [
     "ComplexityResult",
     "ConvergenceError",
     "ExtField",
-    "PolyModP",
     "SequenceFamily",
     "WResult",
     "build_family",

@@ -135,11 +135,10 @@ def _pattern_counts(
             yield from _pattern_counts(bits, depth, prefix + (i,), child)
 
 
-def _scales_by_generator(fld: ExtField, chi: np.ndarray) -> bool:
+def _scales_by_generator(fld: ExtField, chi: np.ndarray, c: int) -> bool:
     """chi(c x) = (-1)^k chi(x) at every x, for c the least generator of
     F_p^*: c multiplies every base-p digit of an id by c."""
     p, k = fld.p, fld.k
-    c = ExtField(p, 1)._generator_id()
     scaled = _ids(p, fld.elements() * c % p)
     return bool((chi[scaled] == (-1) ** k * chi).all())
 
@@ -181,8 +180,10 @@ def check_weil(size_limit: int = 512, j_max: int = 3) -> CheckReport:
         subfield = count_subfield_elements(p, k)
         fld = ExtField(p, k)
         chi = fld.char_table()
+        if k == 1:  # small_fields yields (p, 1) first; c serves every field of p
+            c = int(fld.power_ids()[1])
         rep.checked += 1
-        if not _scales_by_generator(fld, chi):
+        if not _scales_by_generator(fld, chi, c):
             rep.record(f"({p},{k}): chi(c x) != (-1)^k chi(x) for the least generator c of F_{p}^*")
         for prefix, cnt in _pattern_counts(_sign_bitsets(chi, p), min(max(j_max, gj), p)):
             j = len(prefix) + 1

@@ -220,6 +220,8 @@ def family_complexity(
     n = family.p
     if j_cap is not None and j_cap < 0:
         raise ValueError(f"j_cap must be >= 0, got {j_cap}")
+    if cell_budget < 0:
+        raise ValueError(f"cell_budget must be >= 0, got {cell_budget}")
     limit = n if j_cap is None else min(n, j_cap)
     reduction, fixed = _symmetry(family)
     # plus[i]: bit b set iff member b has +1 at position i + 1, from column i

@@ -1,10 +1,10 @@
 """Polynomials over F_p, their irreducibility, and extension fields F_{p^k}.
 
-Coefficient vectors are stored lowest degree first: as array rows, or as
-a modulus tuple with no trailing zeros. One sieve decides irreducibility.
-Extension fields are F_p[x]/(m) for a monic irreducible m; when no modulus
-is given, the lexicographically first irreducible of the right degree is
-used so that every construction is reproducible run to run.
+Coefficient vectors are int64 array rows, lowest degree first: a monic
+one of degree k is (a_0, ..., a_{k-1}, 1), for its tail id sum a_i p^i.
+One sieve decides irreducibility. Extension fields are F_p[x]/(m) for a
+monic irreducible m, by default the lexicographically first of its degree,
+so that every construction is reproducible run to run.
 
 Only odd prime characteristics are accepted: the quadratic character that
 everything downstream consumes does not exist in characteristic 2.
@@ -12,17 +12,15 @@ everything downstream consumes does not exist in characteristic 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .ntheory import _require_cell, _require_odd_prime, divisors, is_prime
+from .ntheory import _require_cell, divisors, is_prime
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
-    "PolyModP",
     "enumerate_irreducibles",
     "ExtField",
     "norm",
@@ -57,61 +55,6 @@ def _require_budget(
         raise BudgetExceededError(
             f"{what} needs {shown} {unit}, budget is {DEFAULT_ENUM_BUDGET}"
         )
-
-
-# ---------------------------------------------------------------------------
-# coefficient tuples (lowest degree first, normalized), for PolyModP
-
-def _norm(cs: list[int]) -> tuple[int, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _poly_str(coeffs: tuple[int, ...]) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if c == 0:
-            continue
-        if d == 0:
-            parts.append(str(c))
-        elif d == 1:
-            parts.append("x" if c == 1 else f"{c}*x")
-        else:
-            parts.append(f"x^{d}" if c == 1 else f"{c}*x^{d}")
-    return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# prime-field polynomials
-
-@dataclass(frozen=True)
-class PolyModP:
-    """An ExtField's modulus: a polynomial over F_p, odd prime p, reduced
-    mod p and stored lowest degree first with trailing zeros stripped."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
-        cs = [int(c) % self.p for c in self.coeffs]
-        object.__setattr__(self, "coeffs", _norm(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __repr__(self) -> str:
-        return f"PolyModP(p={self.p}, {_poly_str(self.coeffs)})"
 
 
 # most int64 entries in one temporary array of the sieve (128 KiB)
@@ -183,8 +126,8 @@ def enumerate_irreducibles(p: int, k: int) -> np.ndarray:
     monic irreducible of degree d <= k/2 (sieved the same way) with a
     monic polynomial of degree k - d is marked reducible in a table of p^k
     flags, with numpy computing the products in blocks of 2^14. The same
-    table picks and checks an ExtField's modulus; it is the package's only
-    irreducibility test.
+    table picks and checks an ExtField's modulus, a row of the same form;
+    it is the package's only irreducibility test.
     """
     _require_cell(p, k)
     return _monic_rows(p, k, np.flatnonzero(_sieve(p, k)))
@@ -200,33 +143,33 @@ class ExtField:
     coefficients, so id 0 is zero, id 1 is one and id p is the generator
     image x.
 
-    The default modulus is the first of enumerate_irreducibles(p, k). For
-    k >= 2 a modulus is picked or checked in that sieve's table, so a field
-    past DEFAULT_ENUM_BUDGET elements is refused here; k = 1 needs no table
-    (x is the default, and every monic linear polynomial is irreducible).
+    The modulus is a read-only (k + 1,) int64 row of the form of
+    enumerate_irreducibles(p, k), whose first row is the default; a given
+    one must be k + 1 residues mod p, the last 1. For k >= 2 a modulus is
+    picked or checked in that sieve's table, so a field past
+    DEFAULT_ENUM_BUDGET elements is refused here; k = 1 needs no table (x
+    is the default, and every monic linear polynomial is irreducible).
     """
 
-    def __init__(self, p: int, k: int, modulus: PolyModP | None = None):
+    def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
         _require_cell(p, k)
-        if modulus is not None:
-            if modulus.p != p:
-                raise ValueError(f"modulus characteristic {modulus.p} != {p}")
-            if modulus.degree != k:
-                raise ValueError(f"modulus degree {modulus.degree} != {k}")
-            if not modulus.is_monic:
-                raise ValueError(f"modulus must be monic irreducible, got {modulus!r}")
-        if k >= 2:
-            irreducible = _sieve(p, k)
-            if modulus is None:
-                first = np.argmax(irreducible)  # a flag is set: irreducibles exist
-                modulus = PolyModP(p, tuple(_monic_rows(p, k, np.array([first]))[0]))
-            elif not irreducible[_ids(p, np.array([modulus.coeffs[:k]]))[0]]:
-                raise ValueError(f"modulus must be monic irreducible, got {modulus!r}")
-        elif modulus is None:
-            modulus = PolyModP(p, (0, 1))
+        if modulus is None:
+            # the lowest flagged tail id (a flag is set: irreducibles exist)
+            tail = np.argmax(_sieve(p, k)) if k >= 2 else 0
+        else:
+            row = np.asarray(modulus)
+            if (row.shape != (k + 1,) or row.dtype.kind not in "iu"
+                    or not ((0 <= row) & (row < p)).all() or row[k] != 1):
+                raise ValueError(
+                    f"modulus must be {k + 1} residues mod {p}, the last 1, got {row.tolist()}"
+                )
+            tail = _ids(p, row[None, :k].astype(np.int64))[0]
+            if k >= 2 and not _sieve(p, k)[tail]:
+                raise ValueError(f"modulus must be monic irreducible, got {row.tolist()}")
         self.p = p
         self.k = k
-        self.modulus = modulus
+        self.modulus = _monic_rows(p, k, np.array([tail]))[0]
+        self.modulus.flags.writeable = False  # a write would change the field under it
         self.size = p ** k
         self._powers: np.ndarray | None = None
 
@@ -286,7 +229,7 @@ class ExtField:
         raise AssertionError(f"no generator found for F_{self.p}^{self.k}")
 
     def __repr__(self) -> str:
-        return f"ExtField(p={self.p}, k={self.k}, modulus={_poly_str(self.modulus.coeffs)})"
+        return f"ExtField(p={self.p}, k={self.k}, modulus={self.modulus.tolist()})"
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +245,8 @@ def _mul(field: ExtField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = np.zeros((len(a), 2 * k - 1), dtype=np.int64)
     for i in range(k):
         prod[:, i : i + k] += a[:, i, None] * b
-    low = np.array(field.modulus.coeffs[:k], dtype=np.int64)
     for d in range(2 * k - 2, k - 1, -1):
-        prod[:, d - k : d] -= prod[:, d, None] % p * low
+        prod[:, d - k : d] -= prod[:, d, None] % p * field.modulus[:k]
     return prod[:, :k] % p
 
 

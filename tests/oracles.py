@@ -349,7 +349,7 @@ def power_ids_by_walk(field) -> list[int]:
     ids = []
     for _ in range(field.size - 1):
         ids.append(digits_id(p, cur))
-        cur = TinyField._mul_mod(cur, g, field.modulus.coeffs, p)
+        cur = TinyField._mul_mod(cur, g, field.modulus.tolist(), p)
     assert cur == [1] + [0] * (k - 1)
     return ids
 

@@ -431,6 +431,14 @@ def test_oracle_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_oracle_negative_budget_is_a_domain_error(capsys):
+    code, _, err = run_cli(capsys, "oracle", "--p", "3", "--k", "1", "--budget", "-5")
+    assert code == 2
+    assert "cell_budget must be >= 0, got -5" in err
+    code, _, _ = run_cli(capsys, "oracle", "--p", "3", "--k", "1", "--budget", "0")
+    assert code == 3
+
+
 def test_oracle_budget_refusal_reports_verified_levels(capsys, monkeypatch, family_13_2_flipped):
     # a (13, 2) family with no symmetry, so every level is searched in full
     monkeypatch.setattr(cli, "build_family", lambda p, k: family_13_2_flipped)

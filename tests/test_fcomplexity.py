@@ -143,6 +143,15 @@ def test_j_cap_stops_early():
     assert res.witness_failure is None
 
 
+def test_negative_budget_is_a_domain_error():
+    # a budget of 0 is a refusal (ComplexityBudgetError); below 0 is no budget
+    fam = build_family(3, 1)
+    with pytest.raises(ValueError, match="cell_budget must be >= 0, got -5"):
+        family_complexity(fam, cell_budget=-5)
+    with pytest.raises(ComplexityBudgetError):
+        family_complexity(fam, cell_budget=0)
+
+
 def test_budget_error_names_first_unverified_level(family_13_2_flipped):
     fam = family_13_2_flipped
     # no symmetry to reduce by, so level 1 may split the whole family once

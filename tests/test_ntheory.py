@@ -267,7 +267,6 @@ GATED_ENTRY_POINTS = {
     "enumerate_irreducibles": lambda p: gf.enumerate_irreducibles(p, 2),
     "ExtField": lambda p: gf.ExtField(p, 2),
     "build_family": lambda p: legendre_seq.build_family(p, 2),
-    "PolyModP": lambda p: gf.PolyModP(p, (1, 1)),
     "legendre_symbol": lambda p: legendre_seq.legendre_symbol(1, p),
 }
 
