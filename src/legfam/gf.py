@@ -170,6 +170,14 @@ class ExtField:
         self.k = k
         self.modulus = _monic_rows(p, k, np.array([tail]))[0]
         self.modulus.flags.writeable = False  # a write would change the field under it
+        # row r holds x^(k+r) mod the modulus: x^k = -(m_0 + ... + m_{k-1} x^{k-1}),
+        # and each next row is x times the last
+        self._fold = np.empty((k - 1, k), dtype=np.int64)
+        row = -self.modulus[:k] % p
+        for r in range(k - 1):
+            self._fold[r] = row
+            row = (np.concatenate(([0], row[:-1])) + row[-1] * self._fold[0]) % p
+        self._fold.flags.writeable = False
         self.size = p ** k
         self._powers: np.ndarray | None = None
 
@@ -236,18 +244,16 @@ class ExtField:
 # element arrays: (n, k) int64 base-p digits, lowest degree first
 
 def _mul(field: ExtField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # schoolbook product over the columns, then x^d for d = 2k-2 .. k
-    # reduced by x^k = -(m_0 + ... + m_{k-1} x^{k-1}); entries stay below
-    # 2k p^2, which int64 must hold
+    # schoolbook product over the columns, then the coefficients of x^k ..
+    # x^(2k-2) folded back in one product with the field's rows of
+    # x^(k+r) mod the modulus; entries stay below 2k p^2, which int64 must hold
     p, k = field.p, field.k
     if 2 * k * p * p >= 1 << 63:
         raise ValueError(f"products in F_{p}^{k} overflow int64 element arrays")
     prod = np.zeros((len(a), 2 * k - 1), dtype=np.int64)
     for i in range(k):
         prod[:, i : i + k] += a[:, i, None] * b
-    for d in range(2 * k - 2, k - 1, -1):
-        prod[:, d - k : d] -= prod[:, d, None] % p * field.modulus[:k]
-    return prod[:, :k] % p
+    return (prod[:, :k] + prod[:, k:] % p @ field._fold) % p
 
 
 def _pow(field: ExtField, a: np.ndarray, e: int) -> np.ndarray:
@@ -267,11 +273,14 @@ def norm(field: ExtField, a: np.ndarray) -> np.ndarray:
     """Field norm down to F_p of every row of an element array, as residues.
 
     The product of the k Frobenius conjugates a * a^p * ... * a^(p^(k-1));
-    multiplicative, zero only at zero.
+    multiplicative, zero only at zero. Frobenius is F_p-linear, so it is
+    one k x k matrix, the p-th powers of the basis x^i as rows, and each
+    conjugate is the last one times it (entries below k p^2).
     """
+    frob = _pow(field, np.eye(field.k, dtype=np.int64), field.p)
     out = conj = a
     for _ in range(field.k - 1):
-        conj = _pow(field, conj, field.p)
+        conj = conj @ frob % field.p
         out = _mul(field, out, conj)
     assert not out[:, 1:].any(), f"a norm in F_{field.p}^{field.k} left the prime field"
     return out[:, 0]

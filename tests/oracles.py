@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from legfam.bounds import _require_lemma4_inputs
+from legfam.gf import _mul, _pow
 
 
 def w_bisect(x: float) -> float:
@@ -352,6 +353,19 @@ def power_ids_by_walk(field) -> list[int]:
         cur = TinyField._mul_mod(cur, g, field.modulus.tolist(), p)
     assert cur == [1] + [0] * (k - 1)
     return ids
+
+
+def norm_by_powers(field, a):
+    """Field norm of every row of an element array of an ExtField as the
+    product a * a^p * ... * a^(p^(k-1)), each conjugate raised from the
+    last by square-and-multiply: the reference for gf.norm's Frobenius
+    matrix."""
+    out = conj = a
+    for _ in range(field.k - 1):
+        conj = _pow(field, conj, field.p)
+        out = _mul(field, out, conj)
+    assert not out[:, 1:].any()
+    return out[:, 0]
 
 
 def pattern_count(field, positions, signs) -> int:

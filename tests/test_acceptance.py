@@ -207,15 +207,22 @@ def test_criterion_09_counting_cross_checks():
 
 
 def test_criterion_10_timing_sanity():
+    # a cell's time is the fastest of 3 calls, so that one scheduler or
+    # GC pause during a single call cannot stand for the cell's cost
     p = 2128240847
+
+    def cell_time(fn, k):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            fn(p, k)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
     worst_new = worst_old = 0.0
     for k in range(1, 2001):
-        t0 = time.perf_counter()
-        theorem1_bound(p, k)
-        worst_new = max(worst_new, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        gyarmati_bound(p, k)
-        worst_old = max(worst_old, time.perf_counter() - t0)
+        worst_new = max(worst_new, cell_time(theorem1_bound, k))
+        worst_old = max(worst_old, cell_time(gyarmati_bound, k))
     assert worst_new < 0.1, f"theorem1_bound worst cell {worst_new:.3f}s"
     assert worst_old < 0.1, f"gyarmati_bound worst cell {worst_old:.3f}s"
     _report(10, f"worst cell times {worst_new * 1e3:.1f}ms / {worst_old * 1e3:.1f}ms")

@@ -260,6 +260,21 @@ def test_check_corollary1_catches_every_element_of_a_digit_swapped_table(monkeyp
     assert changed > 0 and len(rep.failures) + rep.skipped == changed
 
 
+def test_check_corollary1_catches_one_wrong_legendre_symbol(monkeypatch):
+    # (2/101) negated: the prime-field table disagrees with Euler's
+    # criterion at that residue alone, and F_101 has no extension field
+    # under the 2^12 limit, so no norm ever reads the wrong entry
+    symbol = checks.legendre_symbol
+
+    def negated(a, p):
+        return -symbol(a, p) if (a, p) == (2, 101) else symbol(a, p)
+
+    monkeypatch.setattr(checks, "legendre_symbol", negated)
+    rep = check_corollary1()
+    assert rep.failures == ["Legendre(2,101) disagrees with Euler criterion"]
+    assert rep.checked == 114_074
+
+
 def test_check_gauss_catches_a_wrong_subfield_count(monkeypatch):
     # only part (c) reads count_subfield_elements
     count = checks.count_subfield_elements

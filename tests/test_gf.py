@@ -20,7 +20,14 @@ from legfam.gf import (
 )
 from legfam.legendre_seq import legendre_symbol
 from legfam.ntheory import count_irreducibles, divisors, is_prime
-from oracles import TinyField, _fp_irreducible, digits_id, pattern_count, power_ids_by_walk
+from oracles import (
+    TinyField,
+    _fp_irreducible,
+    digits_id,
+    norm_by_powers,
+    pattern_count,
+    power_ids_by_walk,
+)
 
 # the cells of the benchmark's oracle workload
 ORACLE_CELLS = ((13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (11, 3), (13, 3))
@@ -244,6 +251,20 @@ def test_element_arithmetic_matches_lookup_table_field(p, k):
     assert (ids_of(F, _mul(F, a, b)) == np.array(T.mul).reshape(-1)).all(), (p, k)
 
 
+@pytest.mark.parametrize(
+    "p,k", [(3, 5), (3, 7), (3, 9), (5, 5), (7, 4), (13, 3), (1021, 2)]
+)
+def test_mul_matches_schoolbook_on_random_pairs(p, k):
+    # every fold row x^(k+r), r <= k - 2, takes part for k >= 3; the
+    # reference reduces one degree at a time modulo the field's own modulus
+    F = ExtField(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    a, b = rng.integers(0, p, (2, 3000, k))
+    modulus = F.modulus.tolist()
+    want = [TinyField._mul_mod(x, y, modulus, p) for x, y in zip(a.tolist(), b.tolist())]
+    assert _mul(F, a, b).tolist() == want, (p, k)
+
+
 def test_ext_field_pow_and_inverse():
     for p, k in ((5, 2), (3, 3), (7, 2), (3, 4)):
         F = ExtField(p, k)
@@ -281,6 +302,16 @@ def test_norm_of_base_field_element_is_power():
         F = ExtField(p, k)
         consts = F.elements()[:p]  # ids 0..p-1 are the constants
         assert norm(F, consts).tolist() == [pow(c, k, p) for c in range(p)]
+
+
+def test_norm_matches_the_conjugate_powers():
+    # the Frobenius matrix gives the norm that raising each conjugate to
+    # the p-th power gives, on every extension field of up to 2^12 elements
+    fields = [(p, k) for p, k in small_fields(4096) if k >= 2] + [(3, 9), (5, 6)]
+    for p, k in fields:
+        F = ExtField(p, k)
+        els = F.elements()
+        assert (norm(F, els) == norm_by_powers(F, els)).all(), (p, k)
 
 
 def test_quad_char_euler_criterion_prime_field():
