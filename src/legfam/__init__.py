@@ -31,7 +31,6 @@ from .ntheory import (
     is_prime,
     is_prime_power,
     log2_of_big,
-    mobius,
     primes_up_to,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "lemma4_closed_form",
     "log2_of_big",
     "make_report",
-    "mobius",
     "primes_up_to",
     "run_suite",
     "theorem1_bound",

@@ -23,8 +23,8 @@ from .ntheory import (
     PRIMALITY_LIMIT,
     _require_cell,
     _require_degree,
+    _subfield_count,
     count_irreducibles,
-    count_subfield_elements,
     is_prime,
     log2_of_big,
 )
@@ -78,12 +78,15 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     taken exactly as a big integer and pushed through log2_of_big, because
     for even k its two leading terms cancel to relative size p^{-k/6} and
     a floating-point divisor sum would lose every significant digit.
+
+    |G| is counted under the cell gate passed first (p proven prime once,
+    cached per p), not through count_subfield_elements' own check of q.
     """
     _require_cell(p, k)
     half_log2 = 0.5 * k * math.log2(p)
     inv = 2.0 ** (-half_log2)  # p^{-k/2}; harmless underflow to 0 for huge p^k
     log2_a = 1.0 + half_log2 + math.log1p(-inv) / _LN2 - math.log1p(inv) / _LN2
-    subfield = count_subfield_elements(p, k)
+    subfield = _subfield_count(p, k)
     if subfield == 0:
         r = 0.0
     else:

@@ -253,7 +253,9 @@ def _mul(field: ExtField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = np.zeros((len(a), 2 * k - 1), dtype=np.int64)
     for i in range(k):
         prod[:, i : i + k] += a[:, i, None] * b
-    return (prod[:, :k] + prod[:, k:] % p @ field._fold) % p
+    if k > 1:  # a prime field has nothing to fold
+        prod = prod[:, :k] + prod[:, k:] % p @ field._fold
+    return prod % p
 
 
 def _pow(field: ExtField, a: np.ndarray, e: int) -> np.ndarray:

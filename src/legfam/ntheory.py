@@ -1,7 +1,7 @@
 """Integer-side helpers: primality and the odd-prime and degree gates that
-every entry point taking p or k shares, Moebius function, divisor
-enumeration, counts of monic irreducible polynomials over finite fields,
-and base-2 logarithms of integers far too large for floats.
+every entry point taking p or k shares, divisor enumeration, counts of
+monic irreducible polynomials over finite fields, and base-2 logarithms
+of integers far too large for floats.
 
 Everything except log2_of_big is exact integer arithmetic.
 """
@@ -13,7 +13,6 @@ import math
 from functools import lru_cache
 
 __all__ = [
-    "mobius",
     "divisors",
     "is_prime",
     "primes_up_to",
@@ -120,24 +119,6 @@ def primes_up_to(n: int, lo: int = 2) -> list[int]:
     return list(itertools.compress(range(lo, n + 1), window))
 
 
-def mobius(m: int) -> int:
-    """Moebius mu(m): (-1)^r when m is a product of r distinct primes, else 0."""
-    if m < 1:
-        raise ValueError(f"mobius is defined for positive integers, got {m}")
-    result = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if m > 1:
-        result = -result
-    return result
-
-
 def divisors(n: int) -> list[int]:
     """Ascending list of the positive divisors of n."""
     if n < 1:
@@ -201,14 +182,30 @@ def count_subfield_elements(q: int, n: int) -> int:
 
     By Moebius inversion of q^n = sum_{d | n} d * I_q(d) the count is
     |G| = -sum_{d | n, d > 1} mu(d) * q^(n/d), taken over the squarefree d
-    only (mu vanishes elsewhere). Its largest term is q^(n/2) (or q^(n/r)
+    only (mu vanishes elsewhere), which one trial-division pass over n
+    builds from its distinct primes. Its largest term is q^(n/2) (or q^(n/r)
     for the least prime r dividing n), so q^n itself is never built.
     Exact for any size; the result can be thousands of bits long.
     """
     _require_degree(n)
     if is_prime_power(q) is None:
         raise ValueError(f"field order must be a prime power, got {q}")
-    return -sum(mu * q ** (n // d) for d in divisors(n)[1:] if (mu := mobius(d)))
+    return _subfield_count(q, n)
+
+
+def _subfield_count(q: int, n: int) -> int:
+    # count_subfield_elements past its gates. Each distinct prime r of n
+    # adds (d r, -mu(d)) for every pair so far: all squarefree d, with mu(d)
+    terms, m, r = [(1, 1)], n, 2
+    while m > 1:
+        if r * r > m:
+            r = m  # what is left of n is prime
+        if m % r == 0:
+            terms += [(d * r, -mu) for d, mu in terms]
+            while m % r == 0:
+                m //= r
+        r += 1
+    return -sum(mu * q ** (n // d) for d, mu in terms[1:])
 
 
 def log2_of_big(x: int) -> float:

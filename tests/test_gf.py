@@ -252,11 +252,12 @@ def test_element_arithmetic_matches_lookup_table_field(p, k):
 
 
 @pytest.mark.parametrize(
-    "p,k", [(3, 5), (3, 7), (3, 9), (5, 5), (7, 4), (13, 3), (1021, 2)]
+    "p,k", [(3, 5), (3, 7), (3, 9), (5, 5), (7, 4), (13, 3), (1021, 2), (1021, 1)]
 )
 def test_mul_matches_schoolbook_on_random_pairs(p, k):
-    # every fold row x^(k+r), r <= k - 2, takes part for k >= 3; the
-    # reference reduces one degree at a time modulo the field's own modulus
+    # every fold row x^(k+r), r <= k - 2, takes part for k >= 3, and a prime
+    # field has none; the reference reduces one degree at a time modulo the
+    # field's own modulus
     F = ExtField(p, k)
     rng = np.random.default_rng(p * 100 + k)
     a, b = rng.integers(0, p, (2, 3000, k))

@@ -16,7 +16,6 @@ from legfam.ntheory import (
     is_prime,
     is_prime_power,
     log2_of_big,
-    mobius,
     primes_up_to,
 )
 from oracles import (
@@ -113,32 +112,6 @@ def test_is_prime_matches_sieve_around_psi_thresholds():
             assert is_prime(n) == (n in window), n
 
 
-def test_mobius_known_values():
-    assert mobius(1) == 1
-    assert mobius(30) == -1
-    assert mobius(12) == 0
-    with pytest.raises(ValueError):
-        mobius(0)
-
-
-def test_mobius_matches_direct_definition():
-    for n in range(1, 2000):
-        assert mobius(n) == mobius_direct(n), n
-
-
-def test_mobius_divisor_sum_identity():
-    # sum_{d | n} mu(d) is 1 at n = 1 and 0 otherwise
-    for n in range(1, 500):
-        total = sum(mobius(d) for d in divisors(n))
-        assert total == (1 if n == 1 else 0), n
-
-
-@given(st.integers(2, 300), st.integers(2, 300))
-def test_mobius_multiplicative_on_coprime_pairs(a, b):
-    if math.gcd(a, b) == 1:
-        assert mobius(a * b) == mobius(a) * mobius(b)
-
-
 def test_divisors_examples():
     assert divisors(1) == [1]
     assert divisors(105) == [1, 3, 5, 7, 15, 21, 35, 105]
@@ -214,6 +187,17 @@ def test_count_subfield_elements_prime_degree():
     for q in (3, 5, 7):
         for n in (2, 3, 5):
             assert count_subfield_elements(q, n) == q
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25])
+def test_subfield_count_matches_the_divisor_sum(q):
+    # the squarefree divisors built from n's distinct primes against every
+    # divisor of n with mu from the definition; 2310 and 30030 have 5 and 6
+    # distinct primes, so every size of prime subset takes part
+    degrees = list(range(1, 301)) + ([2310, 30030] if q in (2, 3) else [])
+    for n in degrees:
+        want = -sum(mobius_direct(d) * q ** (n // d) for d in divisors(n)[1:])
+        assert count_subfield_elements(q, n) == want, (q, n)
 
 
 def test_counts_match_the_recursive_oracle():
@@ -304,9 +288,9 @@ def test_every_entry_point_rejects_k_through_one_gate(k, name):
 
 
 def test_make_report_tests_p_once_per_subfield_count(monkeypatch):
-    # the gate is cached per p, so after a warm-up only the prime-power
-    # checks of count_subfield_elements reach is_prime: 3 from compute_A_B
-    # and 1 from upper_bound
+    # the gate is cached per p and compute_A_B counts |G| under it, so after
+    # a warm-up only the prime-power check of count_subfield_elements reaches
+    # is_prime, once, through upper_bound's count_irreducibles
     bounds.make_report(2128240847, 2000)
     calls = []
 
@@ -317,4 +301,7 @@ def test_make_report_tests_p_once_per_subfield_count(monkeypatch):
     for module in (ntheory, bounds, gf):
         monkeypatch.setattr(module, "is_prime", counting_is_prime)
     bounds.make_report(2128240847, 2000)
-    assert calls == [2128240847] * 4
+    assert calls == [2128240847]
+    calls.clear()
+    bounds.compute_A_B(2128240847, 2000)
+    assert calls == []
