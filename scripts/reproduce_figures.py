@@ -80,7 +80,8 @@ def render(outdir: pathlib.Path) -> None:
         return
     for script in sorted(outdir.glob("*.gp")):
         png = script.with_suffix(".png")
-        header = f"set terminal pngcairo size 900,600\nset output '{png}'\n"
+        quoted = str(png).replace("'", "''")  # gnuplot doubles a quote inside '...'
+        header = f"set terminal pngcairo size 900,600\nset output '{quoted}'\n"
         subprocess.run(
             [gnuplot, "-e", header, str(script)],
             check=True,

@@ -105,17 +105,18 @@ def _emit_rows(reports: list[BoundReport], write: Callable[[str], None]) -> None
 
 def _gnuplot_script(csv_path: str, ranged: str, kind: str) -> str:
     xcol = 1 if ranged == "p" else 2
+    data = "'" + csv_path.replace("'", "''") + "'"  # gnuplot doubles a quote inside '...'
     head = f"set datafile separator ','\nset xlabel '{ranged}'\nset key left top\n"
     if kind == "bounds":
         return head + (
             "set ylabel 'lower bound on family complexity'\n"
-            f"plot '{csv_path}' every ::1 using {xcol}:3 with lines title 'new bound', \\\n"
-            f"     '{csv_path}' every ::1 using {xcol}:5 with lines title 'previous bound', \\\n"
-            f"     '{csv_path}' every ::1 using {xcol}:7 with lines title 'log2 family size'\n"
+            f"plot {data} every ::1 using {xcol}:3 with lines title 'new bound', \\\n"
+            f"     {data} every ::1 using {xcol}:5 with lines title 'previous bound', \\\n"
+            f"     {data} every ::1 using {xcol}:7 with lines title 'log2 family size'\n"
         )
     return head + (
         "set ylabel 'evaluation time difference (s)'\n"
-        f"plot '{csv_path}' every ::1 using {xcol}:(($8-$9)/1e9) with lines "
+        f"plot {data} every ::1 using {xcol}:(($8-$9)/1e9) with lines "
         "title 'new minus previous'\n"
     )
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .ntheory import _require_cell, divisors, is_prime
+from .ntheory import _prime_factors, _require_cell
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -227,7 +227,7 @@ class ExtField:
         # constants cannot generate (their order divides p - 1), so the
         # scan starts at id p, the element x
         p, k, n = self.p, self.k, self.size
-        factors = list(filter(is_prime, divisors(n - 1)))
+        factors = list(_prime_factors(n - 1))
         for lo in range(2 if k == 1 else p, n, _GENERATOR_BLOCK):
             ids = np.arange(lo, min(lo + _GENERATOR_BLOCK, n))
             cand = _monic_rows(p, k, ids)[:, :k]

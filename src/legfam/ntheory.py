@@ -1,7 +1,7 @@
-"""Integer-side helpers: primality and the odd-prime and degree gates that
-every entry point taking p or k shares, divisor enumeration, counts of
-monic irreducible polynomials over finite fields, and base-2 logarithms
-of integers far too large for floats.
+"""Integer-side helpers: primality and the odd-prime and degree gates of
+every entry point, divisors, the package's one factor pass for distinct
+primes, counts of monic irreducible polynomials over finite fields, and
+base-2 logarithms of integers far too large for floats.
 
 Everything except log2_of_big is exact integer arithmetic.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import Iterator
 
 __all__ = [
     "divisors",
@@ -142,19 +143,8 @@ def is_prime_power(q: int) -> tuple[int, int] | None:
         return None
     if is_prime(q):
         return (q, 1)
-    # composite prime powers have their base within reach of trial division
-    if q % 2 == 0:
-        r = 2
-    else:
-        r = 0
-        d = 3
-        while d * d <= q:
-            if q % d == 0:
-                r = d
-                break
-            d += 2
-        if r == 0:
-            return None
+    # a composite q has its least prime r <= isqrt(q); the pass stops there
+    r = next(_prime_factors(q))
     e = 0
     while q % r == 0:
         q //= r
@@ -196,16 +186,24 @@ def count_subfield_elements(q: int, n: int) -> int:
 def _subfield_count(q: int, n: int) -> int:
     # count_subfield_elements past its gates. Each distinct prime r of n
     # adds (d r, -mu(d)) for every pair so far: all squarefree d, with mu(d)
-    terms, m, r = [(1, 1)], n, 2
-    while m > 1:
-        if r * r > m:
-            r = m  # what is left of n is prime
-        if m % r == 0:
-            terms += [(d * r, -mu) for d, mu in terms]
-            while m % r == 0:
-                m //= r
-        r += 1
+    terms = [(1, 1)]
+    for r in _prime_factors(n):
+        terms += [(d * r, -mu) for d, mu in terms]
     return -sum(mu * q ** (n // d) for d, mu in terms[1:])
+
+
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes of n >= 1, ascending, by trial division. Lazy: a
+    caller that takes only the least prime stops the division there."""
+    r = 2
+    while n > 1:
+        if r * r > n:
+            r = n  # what is left of n is prime
+        if n % r == 0:
+            yield r
+            while n % r == 0:
+                n //= r
+        r += 1
 
 
 def log2_of_big(x: int) -> float:

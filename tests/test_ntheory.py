@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import pytest
@@ -10,6 +11,7 @@ from legfam.ntheory import (
     PRIMALITY_LIMIT,
     _MR_BASES,
     _MR_PSI,
+    _prime_factors,
     count_irreducibles,
     count_subfield_elements,
     divisors,
@@ -126,6 +128,37 @@ def test_divisors_sorted_and_complete(n):
     assert ds == sorted(set(ds))
     assert all(n % d == 0 for d in ds)
     assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_prime_factors_are_the_prime_divisors():
+    for n in range(1, 5001):
+        expected = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        assert list(_prime_factors(n)) == expected, n
+
+
+@pytest.mark.parametrize(
+    "n, primes",
+    [
+        (2**31 - 2, [2, 3, 7, 11, 31, 151, 331]),
+        (1021**2 - 1, [2, 3, 5, 7, 17, 73]),  # the order of F_1021^2's unit group
+        (2 * 1000003, [2, 1000003]),  # the cofactor left after 2 is prime
+    ],
+)
+def test_prime_factors_of_large_inputs(n, primes):
+    assert list(_prime_factors(n)) == primes
+    # every listed r is prime and n is a product of their powers alone
+    assert all(is_prime(r) for r in primes)
+    for r in primes:
+        while n % r == 0:
+            n //= r
+    assert n == 1
+
+
+def test_is_prime_power_stops_at_the_least_prime():
+    # an eager factor pass would trial-divide 2^61 - 1 up to ~1.5e9
+    t0 = time.perf_counter()
+    assert is_prime_power(3 * (2**61 - 1)) is None
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_is_prime_power_examples():
@@ -298,7 +331,8 @@ def test_make_report_tests_p_once_per_subfield_count(monkeypatch):
         calls.append(n)
         return is_prime(n)
 
-    for module in (ntheory, bounds, gf):
+    assert not hasattr(gf, "is_prime")  # gf's generator search takes _prime_factors
+    for module in (ntheory, bounds):
         monkeypatch.setattr(module, "is_prime", counting_is_prime)
     bounds.make_report(2128240847, 2000)
     assert calls == [2128240847]

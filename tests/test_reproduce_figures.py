@@ -33,3 +33,21 @@ def test_script_runs_from_a_plain_checkout(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr
+
+
+def test_render_quotes_the_png_path_for_gnuplot(tmp_path, monkeypatch):
+    # gnuplot's single-quoted strings take a quote as two
+    module = _load_script()
+    (tmp_path / "it's.csv.gp").write_text("")
+    runs = []
+    monkeypatch.setattr(module.shutil, "which", lambda name: "/bin/gnuplot")
+    monkeypatch.setattr(module.subprocess, "run", lambda argv, check: runs.append(argv))
+    module.render(tmp_path)
+    [argv] = runs
+    quoted = str(tmp_path / "it''s.csv.png")
+    assert argv == [
+        "/bin/gnuplot",
+        "-e",
+        f"set terminal pngcairo size 900,600\nset output '{quoted}'\n",
+        str(tmp_path / "it's.csv.gp"),
+    ]
