@@ -208,23 +208,25 @@ def test_scan_out_file_lf_and_utf8(tmp_path, capsys):
     assert text.endswith("\n")
 
 
-@pytest.mark.parametrize("name", ["rows.csv", "it's.csv"])
-def test_scan_gnuplot_script(tmp_path, capsys, name):
+def test_scan_gnuplot_script(tmp_path, capsys):
     # a successful run rewrites an existing CSV and leaves no other file
-    out_path = tmp_path / name
-    out_path.write_bytes(b"old\n")
-    code, _, _ = run_cli(
-        capsys, "scan", "--k", "2", "--p-max", "10", "--out", str(out_path), "--gnuplot"
-    )
-    assert code == 0
-    assert out_path.read_text().startswith(CSV_HEADER + "\n")
-    assert sorted(f.name for f in tmp_path.iterdir()) == [name, name + ".gp"]
-    script = (tmp_path / (name + ".gp")).read_text()
-    # gnuplot's single-quoted strings take a quote as two
-    quoted = "'" + str(out_path).replace("'", "''") + "'"
-    assert script.count(f"plot {quoted} every") == 1
-    assert script.count(f"{quoted} every") == 3
-    assert "using 1:3" in script  # ranged axis p is column 1
+    for name in ["rows.csv", "it's.csv"]:
+        out_dir = tmp_path / name.replace("'", "_")
+        out_dir.mkdir()
+        out_path = out_dir / name
+        out_path.write_bytes(b"old\n")
+        code, _, _ = run_cli(
+            capsys, "scan", "--k", "2", "--p-max", "10", "--out", str(out_path), "--gnuplot"
+        )
+        assert code == 0, name
+        assert out_path.read_text().startswith(CSV_HEADER + "\n"), name
+        assert sorted(f.name for f in out_dir.iterdir()) == [name, name + ".gp"]
+        script = (out_dir / (name + ".gp")).read_text()
+        # gnuplot's single-quoted strings take a quote as two
+        quoted = "'" + str(out_path).replace("'", "''") + "'"
+        assert script.count(f"plot {quoted} every") == 1, name
+        assert script.count(f"{quoted} every") == 3, name
+        assert "using 1:3" in script, name  # ranged axis p is column 1
 
 
 def test_scan_gnuplot_requires_out(capsys, monkeypatch):
