@@ -260,7 +260,7 @@ def check_corollary1() -> CheckReport:
     rep = CheckReport("corollary1")
     legendre = {}
     for p in primes_up_to(_COROLLARY1_PRIME_LIMIT, 3):
-        legendre[p] = np.array([legendre_symbol(a, p) for a in range(p)], dtype=np.int8)
+        legendre[p] = legendre_symbol(np.arange(p), p)
         rep.checked += p
         euler = quad_char(ExtField(p, 1), np.arange(p)[:, None])
         for a in np.flatnonzero(legendre[p] != euler):

@@ -244,27 +244,30 @@ class ExtField:
 # element arrays: (n, k) int64 base-p digits, lowest degree first
 
 def _mul(field: ExtField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # schoolbook product over the columns, then the coefficients of x^k ..
-    # x^(2k-2) folded back in one product with the field's rows of
-    # x^(k+r) mod the modulus; entries stay below 2k p^2, which int64 must hold
+    # schoolbook product into a (2k - 1, n) array, one row per degree, then
+    # x^k .. x^(2k-2) folded back in one product with the field's rows of
+    # x^(k+r) mod the modulus; entries stay below 2k p^2, which int64 must
+    # hold. The result is a (k, n) array's transpose, so chains read rows
     p, k = field.p, field.k
     if 2 * k * p * p >= 1 << 63:
         raise ValueError(f"products in F_{p}^{k} overflow int64 element arrays")
-    prod = np.zeros((len(a), 2 * k - 1), dtype=np.int64)
+    at, bt = a.T, b.T
+    prod = np.zeros((2 * k - 1, len(a)), dtype=np.int64)
     for i in range(k):
-        prod[:, i : i + k] += a[:, i, None] * b
+        prod[i : i + k] += at[i] * bt
     if k > 1:  # a prime field has nothing to fold
-        prod = prod[:, :k] + prod[:, k:] % p @ field._fold
-    return prod % p
+        prod = prod[:k] + field._fold.T @ (prod[k:] % p)
+    return (prod % p).T
 
 
 def _pow(field: ExtField, a: np.ndarray, e: int) -> np.ndarray:
-    # square-and-multiply, one exponent for every row
-    out = np.zeros_like(a)
-    out[:, 0] = 1
+    # square-and-multiply, one exponent for every row; out starts at the
+    # first power it needs, so nothing is multiplied by one, and is never
+    # a itself (e = 1 gives a copy, e = 0 ones)
+    out = None if e else np.eye(1, a.shape[1], dtype=a.dtype).repeat(len(a), axis=0)
     while e:
         if e & 1:
-            out = _mul(field, out, a)
+            out = a.copy() if out is None else _mul(field, out, a)
         e >>= 1
         if e:
             a = _mul(field, a, a)
@@ -295,7 +298,7 @@ def quad_char(field: ExtField, a: np.ndarray) -> np.ndarray:
     Euler's criterion a^((p^k - 1)/2), by square-and-multiply.
     """
     c = _pow(field, a, (field.size - 1) // 2)
-    assert not c[:, 1:].any() and np.isin(c[:, 0], (0, 1, field.p - 1)).all(), (
+    assert not c[:, 1:].any() and ((c[:, 0] <= 1) | (c[:, 0] == field.p - 1)).all(), (
         f"Euler's criterion in F_{field.p}^{field.k} gave a value other than 0, 1 or -1"
     )
     return np.where(c[:, 0] == field.p - 1, -1, c[:, 0]).astype(np.int8)

@@ -18,28 +18,36 @@ __all__ = [
 ]
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p.
+def legendre_symbol(a: int | np.ndarray, p: int) -> int | np.ndarray:
+    """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p: an int for
+    a scalar a, else an int8 array of the integer array a's shape.
 
-    Iterative Jacobi reciprocity, O(log^2) bit operations; no exponentiation.
+    Iterative Jacobi reciprocity over all entries at once, each dropped
+    when done; no exponentiation. The loop runs in int64 for p < 2^63,
+    which holds all its values, and on Python ints past that.
     """
     _require_odd_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    n = p
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    # n is now gcd(a, p) = 1 since p is prime and a was nonzero mod p
-    return result
+    scalar = np.isscalar(a)
+    a = np.asarray(a % p if scalar else a, np.int64 if p < 1 << 63 else object)
+    out = np.zeros(a.shape, dtype=np.int8)
+    a = a.ravel() % p
+    idx = np.flatnonzero(a)
+    a = a[idx]
+    n = np.full_like(a, p)
+    neg = np.zeros(len(a), dtype=bool)
+    while len(a):
+        # strip a's factors 2, each negating when n = 3, 5 mod 8 (2^t = 2
+        # mod 3 iff t is odd), then swap by reciprocity, which negates when
+        # a = n = 3 mod 4
+        low = a & -a
+        a //= low
+        neg ^= ((low % 3 == 2) & ((n + 2) & 4 != 0)) ^ ((a & n & 2) != 0)
+        a, n = n % a, a
+        # a finished entry has n = gcd(a, p) = 1, since p is prime
+        done = a == 0
+        out.flat[idx[done]] = 1 - 2 * neg[done]
+        a, n, neg, idx = a[~done], n[~done], neg[~done], idx[~done]
+    return int(out) if scalar else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +101,8 @@ def build_family(p: int, k: int) -> SequenceFamily:
         _min_cell_bits(p, k),
     )
     # symbol[a] = (a/p), with the +1 patch at a = 0; e_p reads f(0)
-    symbol = np.array([legendre_symbol(a, p) or 1 for a in range(p)], dtype=np.int8)
+    symbol = legendre_symbol(np.arange(p), p)
+    symbol[0] = 1
     coeffs = enumerate_irreducibles(p, k)
     # one Horner pass over the coefficient columns, highest degree first
     n = np.arange(1, p + 1) % p

@@ -8,6 +8,7 @@ production code is checked against these, never the other way round.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -46,13 +47,18 @@ def w_from_log_bisect(log_x: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.cache
+def _squares_mod(p: int) -> frozenset[int]:
+    return frozenset((x * x) % p for x in range(1, p))
+
+
 def legendre_direct(a: int, p: int) -> int:
-    """(a/p) straight from the definition: scan the squares mod p."""
+    """(a/p) straight from the definition: scan the squares mod p (once
+    per p)."""
     a %= p
     if a == 0:
         return 0
-    squares = {(x * x) % p for x in range(1, p)}
-    return 1 if a in squares else -1
+    return 1 if a in _squares_mod(p) else -1
 
 
 def mobius_direct(n: int) -> int:

@@ -261,13 +261,16 @@ def test_check_corollary1_catches_every_element_of_a_digit_swapped_table(monkeyp
 
 
 def test_check_corollary1_catches_one_wrong_legendre_symbol(monkeypatch):
-    # (2/101) negated: the prime-field table disagrees with Euler's
+    # (2/101) negated in the table for p = 101: it disagrees with Euler's
     # criterion at that residue alone, and F_101 has no extension field
     # under the 2^12 limit, so no norm ever reads the wrong entry
     symbol = checks.legendre_symbol
 
     def negated(a, p):
-        return -symbol(a, p) if (a, p) == (2, 101) else symbol(a, p)
+        table = symbol(a, p)
+        if p == 101:
+            table[2] = -table[2]
+        return table
 
     monkeypatch.setattr(checks, "legendre_symbol", negated)
     rep = check_corollary1()

@@ -264,6 +264,27 @@ def test_mul_matches_schoolbook_on_random_pairs(p, k):
     modulus = F.modulus.tolist()
     want = [TinyField._mul_mod(x, y, modulus, p) for x, y in zip(a.tolist(), b.tolist())]
     assert _mul(F, a, b).tolist() == want, (p, k)
+    # transposed (F-ordered) views, and a product fed back in, as chained
+    # products pass them
+    assert _mul(F, a.T.copy().T, b.T.copy().T).tolist() == want, (p, k)
+    ab = _mul(F, a, b)
+    want = [TinyField._mul_mod(x, y, modulus, p) for x, y in zip(want, b.tolist())]
+    assert _mul(F, ab, b).tolist() == want, (p, k)
+    assert _mul(F, b, ab).tolist() == want, (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (5, 2), (3, 3)])
+def test_pow_at_small_exponents_matches_lookup_table_field(p, k):
+    # e = 0 gives one everywhere, zero included; no result shares memory
+    # with its input, e = 1 included
+    T = TinyField(p ** k)
+    F = ExtField(p, k, modulus=T.modulus) if k > 1 else ExtField(p, 1)
+    els = F.elements()
+    ids = np.arange(F.size)
+    for e, want in ((0, np.ones_like(ids)), (1, ids), (2, np.array(T.mul)[ids, ids])):
+        got = _pow(F, els, e)
+        assert (ids_of(F, got) == want).all(), (p, k, e)
+        assert not np.shares_memory(got, els), (p, k, e)
 
 
 def test_ext_field_pow_and_inverse():

@@ -40,6 +40,41 @@ def test_legendre_symbol_balance():
         assert vals.count(1) == vals.count(-1) == (p - 1) // 2
 
 
+def test_legendre_symbol_over_arrays_matches_direct_definition():
+    # one call per prime over every a in [-p, 2p)
+    for p in primes_up_to(1024, 3):
+        got = legendre_symbol(np.arange(-p, 2 * p), p)
+        assert got.dtype == np.int8, p
+        assert got.tolist() == [legendre_direct(a, p) for a in range(-p, 2 * p)], p
+
+
+def test_legendre_symbol_keeps_the_shape_of_its_input():
+    # arrays of any dimension give int8 arrays of their shape, scalars ints
+    for a in (np.array(3), np.array(7), np.arange(-7, 7), np.arange(30).reshape(5, 6)):
+        got = legendre_symbol(a, 7)
+        assert isinstance(got, np.ndarray) and got.shape == a.shape and got.dtype == np.int8
+        assert got.tolist() == np.vectorize(lambda x: legendre_direct(int(x), 7))(a).tolist()
+    for a in (3, 7, -1, 10 ** 30 + 1, np.int64(5)):
+        got = legendre_symbol(a, 7)
+        assert type(got) is int and got == legendre_direct(a, 7), a
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 64 + 13])
+def test_legendre_symbol_at_word_sized_primes(p):
+    # int64 holds the loop below 2^63, Python ints above; Euler's
+    # criterion is the reference
+    values = (2, 3, 5, -1, 0, p - 2, 2 ** 60, 3 * 2 ** 58, 2 ** 62 + 1, 10 ** 30 + 7)
+    want = [(-1 if e == p - 1 else e) for e in (pow(a, (p - 1) // 2, p) for a in values)]
+    assert [legendre_symbol(a, p) for a in values] == want
+    assert legendre_symbol(np.array(values[:-1]), p).tolist() == want[:-1]
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 15, 2 ** 64 + 1])
+def test_legendre_symbol_over_arrays_rejects_p(p):
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        legendre_symbol(np.arange(5), p)
+
+
 def test_build_sequence_examples():
     # row b belongs to row b of the enumeration: x over F_5, x^2 + 1 and
     # x + 1 over F_3
