@@ -248,8 +248,8 @@ def check_corollary1() -> CheckReport:
     """Compatibility of the extension-field quadratic character with the
     Legendre symbol of the norm.
 
-    Prime fields: the reciprocity-based symbol, tabulated once per p over
-    every residue, must match Euler's criterion a^((p-1)/2), which
+    Prime fields: the Legendre symbol, the table of squares mod p read once
+    per p at every residue, must match Euler's criterion a^((p-1)/2), which
     quad_char takes over the whole residue array of F_p at once. Extension
     fields: at every element the character table (read off the generator's
     power table) must equal both quad_char (Euler's criterion in the field)

@@ -145,17 +145,19 @@ class ExtField:
 
     The modulus is a read-only (k + 1,) int64 row of the form of
     enumerate_irreducibles(p, k), whose first row is the default; a given
-    one must be k + 1 residues mod p, the last 1. For k >= 2 a modulus is
-    picked or checked in that sieve's table, so a field past
-    DEFAULT_ENUM_BUDGET elements is refused here; k = 1 needs no table (x
-    is the default, and every monic linear polynomial is irreducible).
+    one must be k + 1 residues mod p, the last 1. Every modulus is picked
+    or checked in that sieve's table, so a field past DEFAULT_ENUM_BUDGET
+    elements is refused here, at any degree (so no element array or power
+    table passes it); for k = 1 every monic linear polynomial is flagged,
+    so x is the default.
     """
 
     def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
         _require_cell(p, k)
+        irreducible = _sieve(p, k)
         if modulus is None:
             # the lowest flagged tail id (a flag is set: irreducibles exist)
-            tail = np.argmax(_sieve(p, k)) if k >= 2 else 0
+            tail = np.argmax(irreducible)
         else:
             row = np.asarray(modulus)
             if (row.shape != (k + 1,) or row.dtype.kind not in "iu"
@@ -164,7 +166,7 @@ class ExtField:
                     f"modulus must be {k + 1} residues mod {p}, the last 1, got {row.tolist()}"
                 )
             tail = _ids(p, row[None, :k].astype(np.int64))[0]
-            if k >= 2 and not _sieve(p, k)[tail]:
+            if not irreducible[tail]:
                 raise ValueError(f"modulus must be monic irreducible, got {row.tolist()}")
         self.p = p
         self.k = k
@@ -183,20 +185,17 @@ class ExtField:
 
     def elements(self) -> np.ndarray:
         """Every element as an (n, k) int64 array of base-p digits, lowest
-        degree first, row i holding id i; refused past DEFAULT_ENUM_BUDGET."""
-        _require_budget(f"enumerating F_{self.p}^{self.k}", self.size, "elements")
+        degree first, row i holding id i."""
         return _monic_rows(self.p, self.k, np.arange(self.size))[:, : self.k]
 
     def power_ids(self) -> np.ndarray:
         """Ids of g^0, g^1, ..., g^(n-2) for the multiplicative generator g
         of least id, n = p^k: a permutation of the nonzero ids that starts
         at 1. Built once per field by doubling (g^0..g^(L-1) times g^L
-        gives g^L..g^(2L-1), then g^L is squared) and cached; refused past
-        DEFAULT_ENUM_BUDGET entries.
+        gives g^L..g^(2L-1), then g^L is squared) and cached.
         """
         if self._powers is None:
             n = self.size
-            _require_budget("power table", n, "entries")
             block = np.eye(1, self.k, dtype=np.int64)  # g^0 = 1
             step = _monic_rows(self.p, self.k, np.array([self._generator_id()]))[:, : self.k]
             while len(block) < n - 1:
@@ -246,11 +245,10 @@ class ExtField:
 def _mul(field: ExtField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # schoolbook product into a (2k - 1, n) array, one row per degree, then
     # x^k .. x^(2k-2) folded back in one product with the field's rows of
-    # x^(k+r) mod the modulus; entries stay below 2k p^2, which int64 must
-    # hold. The result is a (k, n) array's transpose, so chains read rows
+    # x^(k+r) mod the modulus; entries stay below 2k p^2 < 2^41, since
+    # construction bounds p^k at DEFAULT_ENUM_BUDGET = 2^20, so int64 holds
+    # them. The result is a (k, n) array's transpose, so chains read rows
     p, k = field.p, field.k
-    if 2 * k * p * p >= 1 << 63:
-        raise ValueError(f"products in F_{p}^{k} overflow int64 element arrays")
     at, bt = a.T, b.T
     prod = np.zeros((2 * k - 1, len(a)), dtype=np.int64)
     for i in range(k):

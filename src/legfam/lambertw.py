@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["WResult", "ConvergenceError", "w0_real", "w0_from_log", "w0_complex"]
@@ -24,6 +25,8 @@ _MAX_ITER = 80
 _REAL_RESIDUAL = 1e-12
 _COMPLEX_RESIDUAL = 1e-10
 _LOG_RESIDUAL = 1e-13
+# past this, the first Halley step's (w + 2) f (near 6.6 x) can overflow
+_HALLEY_MAX = sys.float_info.max / 8
 
 
 class ConvergenceError(ArithmeticError):
@@ -73,7 +76,9 @@ def w0_real(x: float) -> WResult:
     """W on the principal branch for real x >= -1/e.
 
     The residual |w e^w - x| is checked against 1e-12 * max(1, |x|) before
-    returning; x below the branch point is a domain error.
+    returning; x below the branch point is a domain error. Past
+    float_info.max / 8 (about 2.2e307) the root is found in the log
+    domain, by w0_from_log(ln x), and the residual is its |w + ln w - ln x|.
     """
     if not math.isfinite(x):
         raise ValueError(f"w0_real needs a finite argument, got {x}")
@@ -83,6 +88,8 @@ def w0_real(x: float) -> WResult:
         return WResult(-1.0, abs(-math.exp(-1.0) - x), 0)
     if x == 0.0:
         return WResult(0.0, 0.0, 0)
+    if x > _HALLEY_MAX:
+        return w0_from_log(math.log(x))
     w, iterations = _halley_real(x, _initial_real(x))
     residual = abs(w * math.exp(w) - x)
     if residual > _REAL_RESIDUAL * max(1.0, abs(x)):

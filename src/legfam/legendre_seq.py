@@ -22,32 +22,18 @@ def legendre_symbol(a: int | np.ndarray, p: int) -> int | np.ndarray:
     """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p: an int for
     a scalar a, else an int8 array of the integer array a's shape.
 
-    Iterative Jacobi reciprocity over all entries at once, each dropped
-    when done; no exponentiation. The loop runs in int64 for p < 2^63,
-    which holds all its values, and on Python ints past that.
+    Read from the table of squares mod p: -1 everywhere, +1 at every
+    n^2 mod p, 0 at 0. The table has p entries, so a p past
+    DEFAULT_ENUM_BUDGET is refused before it is built.
     """
     _require_odd_prime(p)
-    scalar = np.isscalar(a)
-    a = np.asarray(a % p if scalar else a, np.int64 if p < 1 << 63 else object)
-    out = np.zeros(a.shape, dtype=np.int8)
-    a = a.ravel() % p
-    idx = np.flatnonzero(a)
-    a = a[idx]
-    n = np.full_like(a, p)
-    neg = np.zeros(len(a), dtype=bool)
-    while len(a):
-        # strip a's factors 2, each negating when n = 3, 5 mod 8 (2^t = 2
-        # mod 3 iff t is odd), then swap by reciprocity, which negates when
-        # a = n = 3 mod 4
-        low = a & -a
-        a //= low
-        neg ^= ((low % 3 == 2) & ((n + 2) & 4 != 0)) ^ ((a & n & 2) != 0)
-        a, n = n % a, a
-        # a finished entry has n = gcd(a, p) = 1, since p is prime
-        done = a == 0
-        out.flat[idx[done]] = 1 - 2 * neg[done]
-        a, n, neg, idx = a[~done], n[~done], neg[~done], idx[~done]
-    return int(out) if scalar else out
+    _require_budget(f"Legendre table mod {p}", p, "entries")
+    table = np.full(p, -1, dtype=np.int8)
+    table[np.arange(p) ** 2 % p] = 1
+    table[0] = 0
+    if np.isscalar(a):
+        return int(table[a % p])
+    return table[np.ravel(a) % p].reshape(np.shape(a))
 
 
 @dataclass(frozen=True, eq=False)

@@ -143,13 +143,22 @@ def is_prime_power(q: int) -> tuple[int, int] | None:
         return None
     if is_prime(q):
         return (q, 1)
-    # a composite q has its least prime r <= isqrt(q); the pass stops there
-    r = next(_prime_factors(q))
-    e = 0
-    while q % r == 0:
-        q //= r
-        e += 1
-    return (r, e) if q == 1 else None
+    # the largest e with q a perfect e-th power leaves a root r that is no
+    # perfect power, so q is a prime power iff that r is prime
+    for e in range(q.bit_length() - 1, 1, -1):
+        r = _iroot(q, e)
+        if r ** e == q:
+            return (r, e) if is_prime(r) else None
+    return None
+
+
+def _iroot(n: int, e: int) -> int:
+    # floor(n^(1/e)) for n >= 1, e >= 2, by integer Newton from above the
+    # root, 2^ceil(bits/e): the steps fall until they reach the floor
+    x = 1 << -(-n.bit_length() // e)
+    while (y := ((e - 1) * x + n // x ** (e - 1)) // e) < x:
+        x = y
+    return x
 
 
 def count_irreducibles(q: int, n: int) -> int:
@@ -193,8 +202,7 @@ def _subfield_count(q: int, n: int) -> int:
 
 
 def _prime_factors(n: int) -> Iterator[int]:
-    """The distinct primes of n >= 1, ascending, by trial division. Lazy: a
-    caller that takes only the least prime stops the division there."""
+    """The distinct primes of n >= 1, ascending, by trial division."""
     r = 2
     while n > 1:
         if r * r > n:

@@ -351,15 +351,6 @@ def test_quad_char_is_legendre_of_norm():
         assert (quad_char(F, els) == legendre[norm(F, els)]).all(), (p, k)
 
 
-def test_element_arrays_refuse_fields_whose_products_overflow_int64():
-    # 2k p^2 >= 2^63 for this 33-bit prime; the modulus x skips the search
-    p = 4294967311
-    F = ExtField(p, 1, modulus=(0, 1))
-    a = np.array([[p - 1]])
-    with pytest.raises(ValueError, match="overflow"):
-        quad_char(F, a)
-
-
 def test_quad_char_balance():
     F = ExtField(7, 2)
     vals = quad_char(F, F.elements()).tolist()
@@ -403,14 +394,22 @@ def refuse_work(*args, **kwargs):
     raise AssertionError("work started before the budget gate")
 
 
-def test_char_table_budget(monkeypatch):
-    # 1048583 entries, past the 2^20 enumeration budget: refused before
-    # the generator search or any digit array
-    F = ExtField(1048583, 1)
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: ExtField(1048583, 1), id="extfield-1048583"),
+    pytest.param(lambda: ExtField(4294967311, 1, modulus=(0, 1)), id="extfield-4294967311-modulus-x"),
+    pytest.param(lambda: ExtField(2 ** 64 + 13, 1), id="extfield-2**64+13"),
+    pytest.param(lambda: legendre_symbol(np.arange(5), 1048583), id="legendre-array-1048583"),
+    pytest.param(lambda: legendre_symbol(2, 2 ** 61 - 1), id="legendre-int-2**61-1"),
+])
+def test_prime_field_objects_refuse_past_the_budget(monkeypatch, make):
+    # a prime field of p > 2^20 elements is refused before any array is
+    # built: an ExtField by the sieve's gate, even with its modulus given,
+    # and a Legendre table by the gate on its p entries
+    monkeypatch.setattr(gf, "_irreducible_mask", refuse_work)
     monkeypatch.setattr(ExtField, "_generator_id", refuse_work)
     monkeypatch.setattr(gf, "_monic_rows", refuse_work)
     with pytest.raises(BudgetExceededError):
-        F.char_table()
+        make()
 
 
 def test_pattern_count_matches_brute_force():
@@ -443,15 +442,6 @@ def test_pattern_count_validates_inputs():
         pattern_count(F, (1, 2), (1, 0))
     with pytest.raises(ValueError):
         pattern_count(F, (1,), (1, -1))
-
-
-def test_elements_budget(monkeypatch):
-    # refused before any digit array: 1048583 > 2^20
-    F = ExtField(1048583, 1)
-    monkeypatch.setattr(ExtField, "_generator_id", refuse_work)
-    monkeypatch.setattr(gf, "_monic_rows", refuse_work)
-    with pytest.raises(BudgetExceededError):
-        F.elements()
 
 
 @given(st.integers(0, 3 ** 3 - 1), st.integers(0, 3 ** 3 - 1))

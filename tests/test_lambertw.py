@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath
 import pytest
@@ -32,9 +33,13 @@ def test_w_real_matches_bisection_oracle():
 
 def test_w_real_matches_mpmath():
     mpmath.mp.prec = 80
-    for x in (-0.367, -0.3, 0.2, 1.0, 7.0, 1e5, 1e50, 1e300):
+    # past ~2.2e307 the root is found in the log domain, since the Halley
+    # step can overflow there (from 2.76e307 on it does)
+    for x in (-0.367, -0.3, 0.2, 1.0, 7.0, 1e5, 1e50, 1e300, 2.76e307, 1e308, sys.float_info.max):
         want = float(mpmath.lambertw(x))
         assert w0_real(x).value == pytest.approx(want, rel=1e-13), x
+    for x in (2.76e307, 1e308, sys.float_info.max):
+        assert w0_real(x) == w0_from_log(math.log(x)), x  # the log-domain residual
 
 
 def test_w_real_residual_reported_and_small():

@@ -59,16 +59,6 @@ def test_legendre_symbol_keeps_the_shape_of_its_input():
         assert type(got) is int and got == legendre_direct(a, 7), a
 
 
-@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 64 + 13])
-def test_legendre_symbol_at_word_sized_primes(p):
-    # int64 holds the loop below 2^63, Python ints above; Euler's
-    # criterion is the reference
-    values = (2, 3, 5, -1, 0, p - 2, 2 ** 60, 3 * 2 ** 58, 2 ** 62 + 1, 10 ** 30 + 7)
-    want = [(-1 if e == p - 1 else e) for e in (pow(a, (p - 1) // 2, p) for a in values)]
-    assert [legendre_symbol(a, p) for a in values] == want
-    assert legendre_symbol(np.array(values[:-1]), p).tolist() == want[:-1]
-
-
 @pytest.mark.parametrize("p", [1, 2, 9, 15, 2 ** 64 + 1])
 def test_legendre_symbol_over_arrays_rejects_p(p):
     with pytest.raises(ValueError, match="p must be an odd prime"):

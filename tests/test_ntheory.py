@@ -21,6 +21,7 @@ from legfam.ntheory import (
     primes_up_to,
 )
 from oracles import (
+    _prime_power,
     mobius_direct,
     sieve_irreducible_counts,
     strong_probable_prime,
@@ -158,6 +159,23 @@ def test_is_prime_power_stops_at_the_least_prime():
     # an eager factor pass would trial-divide 2^61 - 1 up to ~1.5e9
     t0 = time.perf_counter()
     assert is_prime_power(3 * (2**61 - 1)) is None
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_is_prime_power_matches_trial_division():
+    for q in range(2, 3001):
+        try:
+            want = _prime_power(q)
+        except ValueError:
+            want = None
+        assert is_prime_power(q) == want, q
+
+
+@pytest.mark.parametrize("r,e", [(2**31 - 1, 2), (2**61 - 1, 3)])
+def test_is_prime_power_of_large_primes(r, e):
+    # integer roots, not trial division up to r
+    t0 = time.perf_counter()
+    assert is_prime_power(r**e) == (r, e)
     assert time.perf_counter() - t0 < 0.5
 
 
