@@ -394,8 +394,13 @@ def refuse_work(*args, **kwargs):
     raise AssertionError("work started before the budget gate")
 
 
+def refuse_prime_field_work(monkeypatch):
+    monkeypatch.setattr(gf, "_irreducible_mask", refuse_work)
+    monkeypatch.setattr(ExtField, "_generator_id", refuse_work)
+    monkeypatch.setattr(gf, "_monic_rows", refuse_work)
+
+
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda: ExtField(1048583, 1), id="extfield-1048583"),
     pytest.param(lambda: ExtField(4294967311, 1, modulus=(0, 1)), id="extfield-4294967311-modulus-x"),
     pytest.param(lambda: ExtField(2 ** 64 + 13, 1), id="extfield-2**64+13"),
     pytest.param(lambda: legendre_symbol(np.arange(5), 1048583), id="legendre-array-1048583"),
@@ -405,11 +410,25 @@ def test_prime_field_objects_refuse_past_the_budget(monkeypatch, make):
     # a prime field of p > 2^20 elements is refused before any array is
     # built: an ExtField by the sieve's gate, even with its modulus given,
     # and a Legendre table by the gate on its p entries
-    monkeypatch.setattr(gf, "_irreducible_mask", refuse_work)
-    monkeypatch.setattr(ExtField, "_generator_id", refuse_work)
-    monkeypatch.setattr(gf, "_monic_rows", refuse_work)
+    refuse_prime_field_work(monkeypatch)
     with pytest.raises(BudgetExceededError):
         make()
+
+
+def test_char_table_budget(monkeypatch):
+    # 1048583 entries, past the 2^20 enumeration budget: the field is
+    # refused at construction, before the sieve, the generator search or
+    # any digit array, so no char table is ever started
+    refuse_prime_field_work(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        ExtField(1048583, 1).char_table()
+
+
+def test_elements_budget(monkeypatch):
+    # refused before any digit array: 1048583 > 2^20
+    refuse_prime_field_work(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        ExtField(1048583, 1).elements()
 
 
 def test_pattern_count_matches_brute_force():
