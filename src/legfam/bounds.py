@@ -23,7 +23,7 @@ from .ntheory import (
     PRIMALITY_LIMIT,
     _require_cell,
     _require_degree,
-    _subfield_count,
+    _subfield_log2,
     count_irreducibles,
     is_prime,
     log2_of_big,
@@ -74,10 +74,15 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
 
     A = (2 p^{k/2} - 2)/(1 + p^{-k/2}), returned as log2(A) without ever
     materializing p^{k/2}. B = (2 |G| p^{-k/2} - 2)/(1 + p^{-k/2}) where
-    |G| counts the elements of F_{p^k} lying in proper subfields; |G| is
-    taken exactly as a big integer and pushed through log2_of_big, because
-    for even k its two leading terms cancel to relative size p^{-k/6} and
-    a floating-point divisor sum would lose every significant digit.
+    |G| counts the elements of F_{p^k} lying in proper subfields. B reads
+    only log2|G|, and it must be the log2_of_big of the exact |G|: for even
+    k the two leading terms of B cancel to relative size p^{-k/6}, so a
+    float divisor sum would lose every significant digit. ntheory's
+    _subfield_log2 gives that float bit for bit. Past a few thousand bits
+    it brackets |G| between two integers times one power of two and reads
+    the float off the bracket only when both ends share their bit length
+    and top 64 bits, so |G| itself does too; otherwise, and for smaller
+    |G|, it sums |G| exactly.
 
     |G| is counted under the cell gate passed first (p proven prime once,
     cached per p), not through count_subfield_elements' own check of q.
@@ -86,11 +91,8 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     half_log2 = 0.5 * k * math.log2(p)
     inv = 2.0 ** (-half_log2)  # p^{-k/2}; harmless underflow to 0 for huge p^k
     log2_a = 1.0 + half_log2 + math.log1p(-inv) / _LN2 - math.log1p(inv) / _LN2
-    subfield = _subfield_count(p, k)
-    if subfield == 0:
-        r = 0.0
-    else:
-        r = 2.0 ** (log2_of_big(subfield) - half_log2)
+    subfield_log2 = _subfield_log2(p, k)
+    r = 0.0 if subfield_log2 is None else 2.0 ** (subfield_log2 - half_log2)
     b = (2.0 * r - 2.0) / (1.0 + inv)
     return log2_a, b
 

@@ -16,7 +16,12 @@ from legfam.bounds import (
     upper_bound,
 )
 from legfam.errors import BudgetExceededError
-from legfam.ntheory import count_irreducibles, count_subfield_elements, primes_up_to
+from legfam.ntheory import (
+    count_irreducibles,
+    count_subfield_elements,
+    log2_of_big,
+    primes_up_to,
+)
 from oracles import lemma4_bisection_root, w_bisect
 
 
@@ -43,6 +48,26 @@ def test_compute_A_B_against_direct_formula_small():
             want_b = (2.0 * g / root - 2.0) / (1.0 + 1.0 / root)
             assert log2_a == pytest.approx(want_a, abs=1e-10), (p, k)
             assert b == pytest.approx(want_b, abs=1e-10), (p, k)
+
+
+def test_compute_A_B_equals_the_exact_subfield_formula():
+    # (A, B) with B from log2_of_big of the exact |G|: compute_A_B must give
+    # the same float bits, also on the wide-k cells where it reads log2|G|
+    # off a bracket
+    def exact_a_b(p, k):
+        half_log2 = 0.5 * k * math.log2(p)
+        inv = 2.0 ** (-half_log2)
+        ln2 = math.log(2.0)
+        log2_a = 1.0 + half_log2 + math.log1p(-inv) / ln2 - math.log1p(inv) / ln2
+        g = count_subfield_elements(p, k)
+        r = 0.0 if g == 0 else 2.0 ** (log2_of_big(g) - half_log2)
+        return log2_a, (2.0 * r - 2.0) / (1.0 + inv)
+
+    cells = [(2128240847, k) for k in (1, 2, 6, 99, 100, 210, 999, 1024, 1999, 2000)]
+    cells += [(p, k) for p in (3, 13, 2110510001) for k in (1, 2, 6, 10, 210, 300)]
+    cells += [(p, k) for p in (3, 7919) for k in (1, 2, 6, 10)]
+    for p, k in cells:
+        assert compute_A_B(p, k) == exact_a_b(p, k), (p, k)
 
 
 def test_compute_A_B_no_overflow_large_cells():

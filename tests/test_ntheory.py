@@ -291,6 +291,57 @@ def test_log2_of_big_rejects_nonpositive():
         log2_of_big(-5)
 
 
+# the cells of the figure grids and the wide-k rows: k = 1..2000 at a 31-bit
+# prime, k = 1..300 at small and large primes, a few k at every odd p < 8000
+SUBFIELD_GRID = (
+    [(2128240847, k) for k in range(1, 2001)]
+    + [(p, k) for p in (3, 5, 7, 11, 13, 2110510001) for k in range(1, 301)]
+    + [(p, k) for p in primes_up_to(7999, 3) for k in (1, 2, 6, 10)]
+)
+
+
+def _exact_subfield_log2(q, n):
+    count = count_subfield_elements(q, n)
+    return None if count == 0 else log2_of_big(count)
+
+
+def _bracketed(q, n):
+    # the cells whose largest |G| term is past the exact-sum cutoff
+    return n > 1 and ntheory._subfield_terms(n)[0][0] * q.bit_length() >= ntheory._EXACT_BELOW_BITS
+
+
+def test_subfield_log2_is_log2_of_big_of_the_exact_count():
+    assert len(SUBFIELD_GRID) == 7824
+    assert sum(_bracketed(q, n) for q, n in SUBFIELD_GRID) > 1000
+    for q, n in SUBFIELD_GRID:
+        assert ntheory._subfield_log2(q, n) == _exact_subfield_log2(q, n), (q, n)
+    assert ntheory._subfield_log2(3, 1) is None
+
+
+@pytest.mark.parametrize("width", [66, 72])
+def test_subfield_log2_falls_back_to_the_exact_count(monkeypatch, width):
+    # a bracket narrowed to a few bits past the 64 that log2_of_big reads
+    # must fail its certificate: at 66 bits the rounding of each squaring
+    # past the first cut spreads the two ends by more than 4 units, so on
+    # every cell; at 72 bits on some. Every answer must still be the exact one
+    cells = [(q, n) for q, n in SUBFIELD_GRID if _bracketed(q, n)]
+    want = [_exact_subfield_log2(q, n) for q, n in cells]
+    fallbacks = []
+    exact_count = ntheory._subfield_count
+
+    def recording_count(q, n, terms=None):
+        fallbacks.append((q, n))
+        return exact_count(q, n, terms)
+
+    monkeypatch.setattr(ntheory, "_BRACKET_BITS", width)
+    monkeypatch.setattr(ntheory, "_subfield_count", recording_count)
+    assert [ntheory._subfield_log2(q, n) for q, n in cells] == want
+    if width == 66:
+        assert fallbacks == cells
+    else:
+        assert 0 < len(fallbacks) < len(cells)  # and the bracket held on the rest
+
+
 # every entry point that takes p, as a call at degree 2 (or residue 1)
 GATED_ENTRY_POINTS = {
     "compute_A_B": lambda p: bounds.compute_A_B(p, 2),
@@ -357,3 +408,23 @@ def test_make_report_tests_p_once_per_subfield_count(monkeypatch):
     calls.clear()
     bounds.compute_A_B(2128240847, 2000)
     assert calls == []
+
+
+def test_compute_A_B_sums_g_exactly_only_under_the_cutoff(monkeypatch):
+    # past the cutoff compute_A_B reads log2|G| off the certified bracket;
+    # only the small cells (and a failed certificate, which none of these
+    # rows has) reach the exact |G| sum
+    p = 2128240847
+    reached = []
+    exact_count = ntheory._subfield_count
+
+    def recording_count(q, n, terms=None):
+        reached.append(n)
+        return exact_count(q, n, terms)
+
+    monkeypatch.setattr(ntheory, "_subfield_count", recording_count)
+    for k in range(1, 2001):
+        bounds.compute_A_B(p, k)
+    small = [k for k in range(2, 2001) if not _bracketed(p, k)]
+    assert reached == small
+    assert len(small) < 700  # most of the 2,000 rows take the bracket
