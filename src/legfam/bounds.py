@@ -21,12 +21,11 @@ from .errors import BudgetExceededError
 from .lambertw import w0_from_log, w0_real
 from .ntheory import (
     PRIMALITY_LIMIT,
+    _irreducible_log2,
     _require_cell,
     _require_degree,
     _subfield_log2,
-    count_irreducibles,
     is_prime,
-    log2_of_big,
 )
 
 __all__ = [
@@ -179,9 +178,17 @@ def gyarmati_bound(p: int, k: int) -> tuple[float, float]:
 
 def upper_bound(p: int, k: int) -> float:
     """log2 of the family size: gamma can never exceed this since realizing
-    every pattern at j positions takes at least 2^j distinct members."""
+    every pattern at j positions takes at least 2^j distinct members.
+
+    The family has I_p(k) = (p^k - |G|)/k members, and this is
+    log2_of_big(count_irreducibles(p, k)) bit for bit. Past 3,072 bits in
+    p^k, ntheory's _irreducible_log2 reads it off an integer bracket of
+    I_p(k) whose two ends share their bit length and top 64 bits, so p^k is
+    never built; it counts I_p(k) exactly below that size or when the
+    bracket is too wide.
+    """
     _require_cell(p, k)
-    return log2_of_big(count_irreducibles(p, k))
+    return _irreducible_log2(p, k)
 
 
 def crossover_prime(k: int, p_limit: int = 2 ** 32) -> int:

@@ -3,9 +3,11 @@ every entry point, divisors, the package's one factor pass for distinct
 primes, counts of monic irreducible polynomials over finite fields, and
 base-2 logarithms of integers far too large for floats.
 
-Everything is exact integer arithmetic except the floats that log2_of_big
-and _subfield_log2 return; _subfield_log2 reads its float off an integer
-bracket it has certified, or off the exact count.
+Everything is exact integer arithmetic except the floats that log2_of_big,
+_subfield_log2 and _irreducible_log2 return. The last two give log2_of_big
+of |G| and of I_q(n) bit for bit: past a size cutoff they read the float off
+an integer bracket of the count that they have certified, and otherwise off
+the exact count.
 """
 
 from __future__ import annotations
@@ -170,6 +172,10 @@ def count_irreducibles(q: int, n: int) -> int:
     the degree-n monic irreducibles, n apiece, so the count is
     (q^n - count_subfield_elements(q, n)) / n. The difference is always
     divisible by n; this is asserted rather than assumed.
+
+    This is the one exact route to the count. _irreducible_log2, which
+    bounds.upper_bound reads, brackets the count instead past its size
+    cutoff, so there the assertion runs only when the bracket falls back.
     """
     subfield = count_subfield_elements(q, n)  # validates q and n first
     total = q ** n - subfield
@@ -211,9 +217,10 @@ def _subfield_count(q: int, n: int, terms: list[tuple[int, int]] | None = None) 
     return sum(sign * q ** e for e, sign in terms)
 
 
-# _subfield_log2 brackets each power to this many bits. Below
-# _EXACT_BELOW_BITS bits in its largest term (as e * bit_length(q)) it takes
-# the exact sum instead. Timed on the 1,212 cells with q = 7919, 1048573 or
+# The bracket routes (_subfield_log2 for |G|, _irreducible_log2 for I_q(n))
+# bracket each power to _BRACKET_BITS bits. Below _EXACT_BELOW_BITS bits in
+# the largest power (as e * bit_length(q)) both take the exact count
+# instead. Timed for |G| on the 1,212 cells with q = 7919, 1048573 or
 # 2128240847, n < 700 and 1,000-7,999 such bits (2-core Intel Xeon, Python
 # 3.11.7), the bracket was faster on 20% of them at 1,000-1,499 bits,
 # 51-59% at 2,000-2,499, 76-77% at 2,500-2,999, 93-96% at 3,000-3,499 and
@@ -227,21 +234,47 @@ def _subfield_log2(q: int, n: int) -> float | None:
     """log2_of_big(_subfield_count(q, n)) bit for bit, or None when the
     count is 0 (n = 1), without building the count when it is large.
 
-    Each term q^e is bracketed as lo * 2^s <= q^e <= hi * 2^s by square and
-    multiply, flooring lo and ceiling hi to _BRACKET_BITS bits at each step;
-    a term that stays below 2^s, for s the shift of the largest term, is
-    bracketed as [0, 1]. The signed brackets are summed at that one shift. When the two ends of the
-    sum share their bit length and top 64 bits, so does the count between
-    them, and those are all log2_of_big reads. Otherwise, and below
-    _EXACT_BELOW_BITS, the exact count is taken.
+    The count is bracketed by _bracket_sum and read by _certified_log2;
+    when the certificate fails, and below _EXACT_BELOW_BITS, the exact
+    count is taken.
     """
     terms = _subfield_terms(n)
     if not terms:
         return None
+    if terms[0][0] * q.bit_length() >= _EXACT_BELOW_BITS:
+        log2 = _certified_log2(*_bracket_sum(q, terms))
+        if log2 is not None:
+            return log2
+    return log2_of_big(_subfield_count(q, n, terms))
+
+
+def _irreducible_log2(q: int, n: int) -> float:
+    """log2_of_big(count_irreducibles(q, n)) bit for bit, without building
+    q^n when it is large.
+
+    q^n - |G| is bracketed by _bracket_sum, and both ends are divided by n
+    with 64 extra bits, the low end rounded down and the high end up, so
+    the bracket still holds the count. When _certified_log2 reads it, that
+    is the float; otherwise, and below _EXACT_BELOW_BITS bits in q^n, the
+    exact count_irreducibles is taken.
+    """
+    if n * q.bit_length() >= _EXACT_BELOW_BITS:
+        terms = [(n, 1)] + [(e, -sign) for e, sign in _subfield_terms(n)]
+        lo, hi, shift = _bracket_sum(q, terms)
+        log2 = _certified_log2((lo << 64) // n, -(-(hi << 64) // n), shift - 64)
+        if log2 is not None:
+            return log2
+    return log2_of_big(count_irreducibles(q, n))
+
+
+def _bracket_sum(q: int, terms: list[tuple[int, int]]) -> tuple[int, int, int]:
+    # (lo, hi, s) with lo * 2^s <= sum(sign * q^e) <= hi * 2^s, for terms
+    # (e, sign) led by the largest power with sign +1. That power sets s,
+    # the shift of its _power_bracket; a term that stays below 2^s is
+    # bracketed as [0, 1], and every other one by its own bracket, shifted
+    # to s with lo rounded down and hi up
     bits = q.bit_length()
-    if terms[0][0] * bits < _EXACT_BELOW_BITS:
-        return log2_of_big(_subfield_count(q, n, terms))
-    lo_sum, hi_sum, shift = _power_bracket(q, terms[0][0])  # its sign is +1
+    lo_sum, hi_sum, shift = _power_bracket(q, terms[0][0])
     for e, sign in terms[1:]:
         if e * bits <= shift:
             lo, hi = 0, 1  # q^e < 2^(e bits) <= 2^shift
@@ -252,18 +285,25 @@ def _subfield_log2(q: int, n: int) -> float | None:
             lo_sum, hi_sum = lo_sum + lo, hi_sum + hi
         else:
             lo_sum, hi_sum = lo_sum - hi, hi_sum - lo
-    top_bits = lo_sum.bit_length()
+    return lo_sum, hi_sum, shift
+
+
+def _certified_log2(lo: int, hi: int, shift: int) -> float | None:
+    # log2_of_big(x) for every integer x with lo * 2^shift <= x <= hi * 2^shift
+    # (shift >= 0), or None when that is not one float: the two ends must
+    # share their bit length and top 64 bits, which are all log2_of_big reads
+    top_bits = lo.bit_length()
     cut = top_bits - 64
-    if cut >= 0 and hi_sum.bit_length() == top_bits and lo_sum >> cut == hi_sum >> cut:
-        return math.log2(lo_sum >> cut) + float(shift + cut)
-    return log2_of_big(_subfield_count(q, n, terms))
+    if cut >= 0 and hi.bit_length() == top_bits and lo >> cut == hi >> cut:
+        return math.log2(lo >> cut) + float(shift + cut)
+    return None
 
 
 def _power_bracket(q: int, e: int) -> tuple[int, int, int]:
     # (lo, hi, s) with lo * 2^s <= q^e <= hi * 2^s and hi <= 2^_BRACKET_BITS,
     # left-to-right over the bits of e. Once a step truncates, s is
     # bit_length(q^e) - _BRACKET_BITS give or take one, so the largest term
-    # of _subfield_log2, q >= 2 times any other, has the largest shift
+    # of a _bracket_sum, q >= 2 times any other, has the largest shift
     lo = hi = 1
     s = 0
     for bit in bin(e)[2:]:

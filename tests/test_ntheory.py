@@ -342,6 +342,99 @@ def test_subfield_log2_falls_back_to_the_exact_count(monkeypatch, width):
         assert 0 < len(fallbacks) < len(cells)  # and the bracket held on the rest
 
 
+def _bracketed_irreducibles(q, n):
+    # the cells whose q^n is past the exact-count cutoff
+    return n * q.bit_length() >= ntheory._EXACT_BELOW_BITS
+
+
+def test_upper_bound_is_log2_of_big_of_the_exact_count():
+    # count_irreducibles asserts that n divides q^n - |G| on each call, so
+    # this also runs that check on every cell whose row takes the bracket
+    assert sum(_bracketed_irreducibles(q, n) for q, n in SUBFIELD_GRID) > 2000
+    for q, n in SUBFIELD_GRID:
+        want = log2_of_big(count_irreducibles(q, n))
+        assert bounds.upper_bound(q, n) == want, (q, n)
+
+
+@pytest.mark.parametrize("width", [66, 72])
+def test_irreducible_log2_falls_back_to_the_exact_count(monkeypatch, width):
+    # as for |G|: at 66 bits the bracket of q^n - |G| fails its certificate
+    # on every cell, at 72 bits on some, and every answer is the exact one
+    cells = [(q, n) for q, n in SUBFIELD_GRID if _bracketed_irreducibles(q, n)]
+    want = [log2_of_big(count_irreducibles(q, n)) for q, n in cells]
+    fallbacks = []
+    exact_count = ntheory.count_irreducibles
+
+    def recording_count(q, n):
+        fallbacks.append((q, n))
+        return exact_count(q, n)
+
+    monkeypatch.setattr(ntheory, "_BRACKET_BITS", width)
+    monkeypatch.setattr(ntheory, "count_irreducibles", recording_count)
+    assert [ntheory._irreducible_log2(q, n) for q, n in cells] == want
+    if width == 66:
+        assert fallbacks == cells
+    else:
+        assert 0 < len(fallbacks) < len(cells)  # and the bracket held on the rest
+
+
+@pytest.mark.parametrize("tight_end", ["low", "high"])
+def test_irreducible_log2_divides_the_bracket_outward(monkeypatch, tight_end):
+    # the division by n rounds the low end down and the high end up, so the
+    # divided bracket still holds the count. With 64 extra bits, rounding
+    # either way moves an end by one unit, which cannot cross a multiple of
+    # 2^cut while n < 2^64, so no float shows the direction; the enclosure
+    # does. Here one end of the bracket of q^n - |G| sits within n of it,
+    # and rounding that end inward after the division would pass the count
+    q, n, shift = 2128240847, 2000, 3000
+    lo = (1 << 127) + 1  # neither lo * 2^64 nor (lo + 1) * 2^64 is a multiple of n
+    if tight_end == "low":
+        total = (lo << shift) + (-lo << shift) % n  # least multiple of n past lo 2^shift
+    else:
+        total = ((lo + 1) << shift) - ((lo + 1) << shift) % n  # greatest one below
+    seen = {}
+
+    def fake_bracket_sum(q_, terms):
+        seen["terms"] = terms
+        return lo, lo + 1, shift
+
+    def recording_certificate(lo_, hi_, shift_):
+        seen["divided"] = lo_, hi_, shift_
+        return certified_log2(lo_, hi_, shift_)
+
+    def no_exact_count(q_, n_):
+        raise AssertionError("the bracket must hold")
+
+    certified_log2 = ntheory._certified_log2
+    monkeypatch.setattr(ntheory, "_bracket_sum", fake_bracket_sum)
+    monkeypatch.setattr(ntheory, "_certified_log2", recording_certificate)
+    monkeypatch.setattr(ntheory, "count_irreducibles", no_exact_count)
+    assert ntheory._irreducible_log2(q, n) == log2_of_big(total // n)
+    subfield_terms = ntheory._subfield_terms(n)
+    assert seen["terms"] == [(n, 1)] + [(e, -sign) for e, sign in subfield_terms]
+    div_lo, div_hi, div_shift = seen["divided"]
+    assert div_shift == shift - 64
+    assert (div_lo << div_shift) * n <= total <= (div_hi << div_shift) * n
+
+
+def test_upper_bound_counts_exactly_only_under_the_cutoff(monkeypatch):
+    # past the cutoff upper_bound reads log2 I_p(k) off the certified
+    # bracket; only the rows under it (k < 100 at a 31-bit p, and a failed
+    # certificate, which none of these rows has) reach count_irreducibles
+    p = 2128240847
+    reached = []
+    exact_count = ntheory.count_irreducibles
+
+    def recording_count(q, n):
+        reached.append(n)
+        return exact_count(q, n)
+
+    monkeypatch.setattr(ntheory, "count_irreducibles", recording_count)
+    for k in range(1, 2001):
+        bounds.upper_bound(p, k)
+    assert reached == list(range(1, 100))
+
+
 # every entry point that takes p, as a call at degree 2 (or residue 1)
 GATED_ENTRY_POINTS = {
     "compute_A_B": lambda p: bounds.compute_A_B(p, 2),
@@ -392,7 +485,10 @@ def test_every_entry_point_rejects_k_through_one_gate(k, name):
 def test_make_report_tests_p_once_per_subfield_count(monkeypatch):
     # the gate is cached per p and compute_A_B counts |G| under it, so after
     # a warm-up only the prime-power check of count_subfield_elements reaches
-    # is_prime, once, through upper_bound's count_irreducibles
+    # is_prime: once on a row under the bracket cutoff (k = 50), through
+    # upper_bound's exact count_irreducibles, and never on a row past it
+    # (k = 2000), where upper_bound reads the certified bracket instead
+    bounds.make_report(2128240847, 50)
     bounds.make_report(2128240847, 2000)
     calls = []
 
@@ -403,9 +499,11 @@ def test_make_report_tests_p_once_per_subfield_count(monkeypatch):
     assert not hasattr(gf, "is_prime")  # gf's generator search takes _prime_factors
     for module in (ntheory, bounds):
         monkeypatch.setattr(module, "is_prime", counting_is_prime)
-    bounds.make_report(2128240847, 2000)
+    bounds.make_report(2128240847, 50)
     assert calls == [2128240847]
     calls.clear()
+    bounds.make_report(2128240847, 2000)
+    assert calls == []
     bounds.compute_A_B(2128240847, 2000)
     assert calls == []
 
