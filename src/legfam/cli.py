@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--x", type=float, help="real argument")
     group.add_argument("--log-x", type=float, help="natural log of the argument")
-    group.add_argument("--complex", dest="comp", help="complex argument as 'RE,IM'")
+    group.add_argument("--complex", dest="comp",
+                       help="complex argument 'RE,IM'; write --complex=RE,IM if RE is negative")
     sp.set_defaults(func=cmd_w)
 
     sp = sub.add_parser("verify", help="run an invariant suite")

@@ -191,16 +191,14 @@ class ExtField:
     def power_ids(self) -> np.ndarray:
         """Ids of g^0, g^1, ..., g^(n-2) for the multiplicative generator g
         of least id, n = p^k: a permutation of the nonzero ids that starts
-        at 1. Built once per field by doubling (g^0..g^(L-1) times g^L
-        gives g^L..g^(2L-1), then g^L is squared) and cached.
+        at 1. Built once per field by doubling (g^1..g^L times g^L gives
+        g^(L+1)..g^(2L), whose last row is the next multiplier) and cached.
         """
         if self._powers is None:
             n = self.size
-            block = np.eye(1, self.k, dtype=np.int64)  # g^0 = 1
-            step = _monic_rows(self.p, self.k, np.array([self._generator_id()]))[:, : self.k]
+            block = _monic_rows(self.p, self.k, np.array([1, self._generator_id()]))[:, : self.k]
             while len(block) < n - 1:
-                block = np.concatenate([block, _mul(self, block[: n - 1 - len(block)], step)])
-                step = _mul(self, step, step)
+                block = np.concatenate([block, _mul(self, block[1 : n - len(block)], block[-1:])])
             powers = _ids(self.p, block)
             # distinct powers: g has order n - 1, so g^(n-1) = 1
             assert (np.bincount(powers, minlength=n)[1:] == 1).all()
@@ -222,15 +220,15 @@ class ExtField:
 
     def _generator_id(self) -> int:
         # the least id of full order: a^((n-1)/q) != 1 for every prime q
-        # dividing n - 1, tested on a block of ids at a time. For k >= 2
-        # constants cannot generate (their order divides p - 1), so the
-        # scan starts at id p, the element x
+        # dividing n - 1, tested on a block of ids at a time by one chain of
+        # squarings. For k >= 2 constants cannot generate (their order
+        # divides p - 1), so the scan starts at id p, the element x
         p, k, n = self.p, self.k, self.size
-        factors = list(_prime_factors(n - 1))
+        exps = [(n - 1) // q for q in _prime_factors(n - 1)]
         for lo in range(2 if k == 1 else p, n, _GENERATOR_BLOCK):
             ids = np.arange(lo, min(lo + _GENERATOR_BLOCK, n))
             cand = _monic_rows(p, k, ids)[:, :k]
-            full = np.all([_ids(p, _pow(self, cand, (n - 1) // q)) != 1 for q in factors], axis=0)
+            full = np.all([_ids(p, c) != 1 for c in _pows(self, cand, exps)], axis=0)
             if full.any():
                 return int(ids[np.argmax(full)])
         raise AssertionError(f"no generator found for F_{self.p}^{self.k}")
@@ -249,38 +247,48 @@ def _mul(field: ExtField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # construction bounds p^k at DEFAULT_ENUM_BUDGET = 2^20, so int64 holds
     # them. The result is a (k, n) array's transpose, so chains read rows
     p, k = field.p, field.k
+    if k == 1:  # a prime field has no fold: residues multiply directly
+        return a * b % p
     at, bt = a.T, b.T
     prod = np.zeros((2 * k - 1, len(a)), dtype=np.int64)
     for i in range(k):
         prod[i : i + k] += at[i] * bt
-    if k > 1:  # a prime field has nothing to fold
-        prod = prod[:k] + field._fold.T @ (prod[k:] % p)
+    prod = prod[:k] + field._fold.T @ (prod[k:] % p)
     return (prod % p).T
 
 
-def _pow(field: ExtField, a: np.ndarray, e: int) -> np.ndarray:
-    # square-and-multiply, one exponent for every row; out starts at the
-    # first power it needs, so nothing is multiplied by one, and is never
-    # a itself (e = 1 gives a copy, e = 0 ones)
-    out = None if e else np.eye(1, a.shape[1], dtype=a.dtype).repeat(len(a), axis=0)
-    while e:
-        if e & 1:
-            out = a.copy() if out is None else _mul(field, out, a)
-        e >>= 1
-        if e:
+def _pows(field: ExtField, a: np.ndarray, exps: Sequence[int]) -> list[np.ndarray]:
+    # square-and-multiply for every exponent over one chain of squarings a,
+    # a^2, a^4, ..., one exponent for every row; each result starts at the
+    # first power it needs and is its own array (e = 1 a copy, e = 0 ones)
+    out = [None if e else np.eye(1, a.shape[1], dtype=a.dtype).repeat(len(a), axis=0)
+           for e in exps]
+    for bit in range(max(exps).bit_length()):
+        if bit:
             a = _mul(field, a, a)
+        for i, e in enumerate(exps):
+            if e >> bit & 1:
+                out[i] = a.copy() if out[i] is None else _mul(field, out[i], a)
     return out
+
+
+def _pow(field: ExtField, a: np.ndarray, e: int) -> np.ndarray:
+    return _pows(field, a, [e])[0]
+
+
+def _frobenius(field: ExtField) -> np.ndarray:
+    # a -> a^p is F_p-linear: the p-th powers of the basis x^i as rows
+    return _pow(field, np.eye(field.k, dtype=np.int64), field.p)
 
 
 def norm(field: ExtField, a: np.ndarray) -> np.ndarray:
     """Field norm down to F_p of every row of an element array, as residues.
 
     The product of the k Frobenius conjugates a * a^p * ... * a^(p^(k-1));
-    multiplicative, zero only at zero. Frobenius is F_p-linear, so it is
-    one k x k matrix, the p-th powers of the basis x^i as rows, and each
-    conjugate is the last one times it (entries below k p^2).
+    multiplicative, zero only at zero. Each conjugate is the last one
+    times the Frobenius matrix (entries below k p^2).
     """
-    frob = _pow(field, np.eye(field.k, dtype=np.int64), field.p)
+    frob = _frobenius(field)
     out = conj = a
     for _ in range(field.k - 1):
         conj = conj @ frob % field.p

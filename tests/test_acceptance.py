@@ -225,4 +225,4 @@ def test_criterion_10_timing_sanity():
         worst_old = max(worst_old, cell_time(gyarmati_bound, k))
     assert worst_new < 0.1, f"theorem1_bound worst cell {worst_new:.3f}s"
     assert worst_old < 0.1, f"gyarmati_bound worst cell {worst_old:.3f}s"
-    _report(10, f"worst cell times {worst_new * 1e3:.1f}ms / {worst_old * 1e3:.1f}ms")
+    _report(10, f"worst cell times {worst_new * 1e6:.0f}us / {worst_old * 1e6:.0f}us")

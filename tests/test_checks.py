@@ -290,6 +290,25 @@ def test_check_gauss_catches_a_wrong_subfield_count(monkeypatch):
     assert "F_3^4" in rep.failures[0]
 
 
+def test_check_gauss_catches_one_wrong_frobenius_entry(monkeypatch):
+    # part (c) reads its fixed points off the Frobenius matrix; one entry
+    # off for F_3^4 alone must show as that field's subfield failure, and
+    # norm, which keeps gf's own binding, is not touched
+    frobenius = checks._frobenius
+
+    def off_by_one(fld):
+        frob = frobenius(fld)
+        if (fld.p, fld.k) == (3, 4):
+            frob[1, 2] = (frob[1, 2] + 1) % 3
+        return frob
+
+    monkeypatch.setattr(checks, "_frobenius", off_by_one)
+    rep = check_gauss()
+    assert rep.checked == 2207
+    assert len(rep.failures) == 1 and rep.skipped == 0
+    assert "subfield count over F_3^4" in rep.failures[0]
+
+
 def test_check_gauss_catches_one_wrong_count(monkeypatch):
     # 11 is not one of the identity q's, so only the sieve count sees it
     count = checks.count_irreducibles

@@ -42,6 +42,16 @@ def test_w_complex(capsys):
     assert abs(value - complex(-0.847209710207865, 0.666789641075179)) < 1e-9
 
 
+def test_w_complex_help_names_the_form_for_a_negative_real_part(capsys):
+    # argparse reads "-1,0" after a space as a flag, so the help gives the
+    # one form that takes a negative real part
+    assert run_cli(capsys, "w", "--complex", "-1,0")[0] == 1
+    code, out, _ = run_cli(capsys, "w", "--help")
+    assert code == 0
+    assert "write --complex=RE,IM if RE is negative" in " ".join(out.split())
+    assert run_cli(capsys, "w", "--complex=-1,0")[0] == 0
+
+
 def test_w_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "w", "--x", "-1")
     assert code == 2

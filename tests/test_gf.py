@@ -14,6 +14,7 @@ from legfam.gf import (
     ExtField,
     _mul,
     _pow,
+    _pows,
     enumerate_irreducibles,
     norm,
     quad_char,
@@ -285,6 +286,31 @@ def test_pow_at_small_exponents_matches_lookup_table_field(p, k):
         got = _pow(F, els, e)
         assert (ids_of(F, got) == want).all(), (p, k, e)
         assert not np.shares_memory(got, els), (p, k, e)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 3)])
+def test_pows_match_pow_exponent_by_exponent(p, k):
+    # one chain of squarings serves every exponent: 0, 1, a repeated one
+    # and ones of different bit lengths give what _pow gives for each, and
+    # what e products in TinyField's table give; every result is its own
+    # array, apart from the input and from each other
+    T = TinyField(p ** k)
+    F = ExtField(p, k, modulus=T.modulus) if k > 1 else ExtField(p, 1)
+    els = F.elements()
+    exps = [5, 0, 1, 2, 5, 13, 1, 1000, F.size - 1]
+    got = _pows(F, els, exps)
+    assert len(got) == len(exps)
+    mul, ids = np.array(T.mul), np.arange(F.size)
+    for e, g in zip(exps, got):
+        assert g.shape == els.shape and g.dtype == els.dtype, (p, k, e)
+        assert (g == _pow(F, els, e)).all(), (p, k, e)
+        assert not np.shares_memory(g, els), (p, k, e)
+        want = np.ones_like(ids)
+        for _ in range(e):
+            want = mul[want, ids]
+        assert (ids_of(F, g) == want).all(), (p, k, e)
+    for i, j in itertools.combinations(range(len(got)), 2):
+        assert not np.shares_memory(got[i], got[j]), (p, k, exps[i], exps[j])
 
 
 def test_ext_field_pow_and_inverse():
