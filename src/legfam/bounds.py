@@ -53,6 +53,11 @@ class BoundReport:
     `bound --format csv`, `scan` and `bench` are every field but a_log2
     (log2 A) and b (B): p, k, new_bound, guaranteed_j, gyarmati_bound,
     gyarmati_c, upper_bound, t_new_ns, t_gyarmati_ns.
+
+    t_new_ns times the row's one (A, B) evaluation plus the W solve of
+    theorem1_bound; t_gyarmati_ns times gyarmati_bound. `bench` replaces
+    both with medians of repeated full theorem1_bound(p, k) and
+    gyarmati_bound(p, k) calls.
     """
 
     p: int
@@ -104,13 +109,18 @@ def _w_of_pow2(log2_arg: float) -> float:
     return w0_real(2.0 ** log2_arg).value
 
 
-def theorem1_bound(p: int, k: int) -> float:
+def theorem1_bound(p: int, k: int, *, a_b: tuple[float, float] | None = None) -> float:
     """The Lambert-W lower bound on family complexity: log2(A / W(2^B A)).
 
     Evaluated as log2(A) - log2(W(...)) in the log domain, so it stays
     finite and accurate for p^{k/2} far beyond float range.
+
+    a_b, when given, must be compute_A_B(p, k): a caller that already holds
+    the pair passes it so (A, B) is not evaluated again. The cell gate runs
+    either way.
     """
-    log2_a, b = compute_A_B(p, k)
+    _require_cell(p, k)
+    log2_a, b = compute_A_B(p, k) if a_b is None else a_b
     return log2_a - math.log2(_w_of_pow2(b + log2_a))
 
 
@@ -121,7 +131,7 @@ def _root_log2(log2_a: float, b: float) -> float:
     return log2_a + _LOG2_LN2 - math.log2(_w_of_pow2(log2_arg))
 
 
-def guaranteed_j(p: int, k: int) -> int:
+def guaranteed_j(p: int, k: int, *, a_b: tuple[float, float] | None = None) -> int:
     """The integer number of positions the bound's counting argument
     actually certifies: the largest j with B*2^j + j*2^j strictly below A,
     i.e. with 2^j strictly below the root of B*x + x*log2(x) = A.
@@ -129,8 +139,12 @@ def guaranteed_j(p: int, k: int) -> int:
     Clamped to [0, p]: a sign pattern has at most p distinct positions.
     When the root's log2 lands exactly on an integer the strict inequality
     excludes it (a 1e-9 snap guards the float boundary).
+
+    a_b, when given, must be compute_A_B(p, k), as for theorem1_bound; the
+    cell gate runs either way.
     """
-    root_log2 = _root_log2(*compute_A_B(p, k))
+    _require_cell(p, k)
+    root_log2 = _root_log2(*(compute_A_B(p, k) if a_b is None else a_b))
     nearest = round(root_log2)
     if abs(root_log2 - nearest) < 1e-9:
         j = nearest - 1
@@ -231,22 +245,24 @@ def crossover_prime(k: int, p_limit: int = 2 ** 32) -> int:
 def make_report(p: int, k: int) -> BoundReport:
     """Evaluate both bounds at (p, k) with per-bound wall times in ns.
 
-    theorem1_bound runs first and rejects a bad (p, k) with ValueError.
+    compute_A_B runs first and rejects a bad (p, k) with ValueError. The
+    row evaluates (A, B) once and hands the pair to theorem1_bound and
+    guaranteed_j; t_new_ns covers that evaluation plus the W solve.
     """
     t0 = time.perf_counter_ns()
-    new_bound = theorem1_bound(p, k)
+    a_b = compute_A_B(p, k)
+    new_bound = theorem1_bound(p, k, a_b=a_b)
     t_new = time.perf_counter_ns() - t0
     t0 = time.perf_counter_ns()
     gy, c = gyarmati_bound(p, k)
     t_gy = time.perf_counter_ns() - t0
-    log2_a, b = compute_A_B(p, k)
     return BoundReport(
         p=p,
         k=k,
-        a_log2=log2_a,
-        b=b,
+        a_log2=a_b[0],
+        b=a_b[1],
         new_bound=new_bound,
-        guaranteed_j=guaranteed_j(p, k),
+        guaranteed_j=guaranteed_j(p, k, a_b=a_b),
         gyarmati_bound=gy,
         gyarmati_c=c,
         upper_bound=upper_bound(p, k),

@@ -399,8 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("w", help="Lambert W calculator (principal branch)")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--x", type=float, help="real argument")
-    group.add_argument("--log-x", type=float, help="natural log of the argument")
+    group.add_argument("--x", type=float,
+                       help="real argument; write --x=X if X is negative with an exponent")
+    group.add_argument("--log-x", type=float, metavar="L",
+                       help="natural log of the argument; write --log-x=L if L is negative"
+                       " with an exponent")
     group.add_argument("--complex", dest="comp",
                        help="complex argument 'RE,IM'; write --complex=RE,IM if RE is negative")
     sp.set_defaults(func=cmd_w)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legfam import bounds, ntheory
 from legfam.bounds import (
     compute_A_B,
     crossover_prime,
@@ -234,15 +235,49 @@ def test_log_domain_stability_against_naive_evaluation():
 
 
 def test_make_report_fields_consistent():
-    rep = make_report(13, 2)
-    assert rep.p == 13 and rep.k == 2
-    assert rep.new_bound == theorem1_bound(13, 2)
-    assert rep.guaranteed_j == guaranteed_j(13, 2)
-    assert rep.gyarmati_bound == gyarmati_bound(13, 2)[0]
-    assert rep.gyarmati_c == gyarmati_bound(13, 2)[1]
-    assert rep.upper_bound == upper_bound(13, 2)
-    assert rep.t_new_ns >= 0
-    assert rep.t_gyarmati_ns >= 0
+    # make_report evaluates (A, B) once and hands the pair on; every field
+    # must equal the standalone function, which evaluates it for itself
+    cells = [(2128240847, k) for k in range(1, 2001)]
+    cells += [(p, k) for p in primes_up_to(8000)[1:] for k in (1, 2, 6, 10)]
+    for p, k in cells:
+        rep = make_report(p, k)
+        assert (rep.p, rep.k) == (p, k)
+        assert (rep.a_log2, rep.b) == compute_A_B(p, k), (p, k)
+        assert rep.new_bound == theorem1_bound(p, k), (p, k)
+        assert rep.guaranteed_j == guaranteed_j(p, k), (p, k)
+        assert (rep.gyarmati_bound, rep.gyarmati_c) == gyarmati_bound(p, k), (p, k)
+        assert rep.upper_bound == upper_bound(p, k), (p, k)
+        assert rep.t_new_ns >= 0
+        assert rep.t_gyarmati_ns >= 0
+    # a pair handed in does not stand in for the cell gate
+    a_b = compute_A_B(7, 2)
+    for fn in (theorem1_bound, guaranteed_j):
+        with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+            fn(9, 2, a_b=a_b)
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            fn(7, 0, a_b=a_b)
+
+
+def test_make_report_evaluates_A_B_once_per_row(monkeypatch):
+    # one compute_A_B per row, and two factorings of k: one under
+    # compute_A_B's |G|, one under upper_bound's I_p(k) (its bracket, or
+    # count_irreducibles below the cutoff)
+    calls = {"compute_A_B": 0, "_subfield_terms": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(bounds, "compute_A_B")
+    count(ntheory, "_subfield_terms")
+    for k in range(1, 2001):
+        make_report(2128240847, k)
+    assert calls == {"compute_A_B": 2000, "_subfield_terms": 4000}
 
 
 def test_guaranteed_j_never_exceeds_family_capacity():

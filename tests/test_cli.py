@@ -43,13 +43,19 @@ def test_w_complex(capsys):
 
 
 def test_w_complex_help_names_the_form_for_a_negative_real_part(capsys):
-    # argparse reads "-1,0" after a space as a flag, so the help gives the
-    # one form that takes a negative real part
+    # argparse reads "-1,0", and a negative number with an exponent, after a
+    # space as a flag, so the help gives the one form that takes each
     assert run_cli(capsys, "w", "--complex", "-1,0")[0] == 1
+    assert run_cli(capsys, "w", "--x", "-1e-5")[0] == 1
+    assert run_cli(capsys, "w", "--log-x", "-1e3")[0] == 1
     code, out, _ = run_cli(capsys, "w", "--help")
     assert code == 0
-    assert "write --complex=RE,IM if RE is negative" in " ".join(out.split())
+    help_text = " ".join(out.split())
+    assert "write --complex=RE,IM if RE is negative" in help_text
+    assert "write --x=X if X is negative with an exponent" in help_text
+    assert "write --log-x=L if L is negative with an exponent" in help_text
     assert run_cli(capsys, "w", "--complex=-1,0")[0] == 0
+    assert run_cli(capsys, "w", "--x=-1e-5") == (0, "-1.00001000015e-05\n", "")
 
 
 def test_w_domain_error_exit_code(capsys):
