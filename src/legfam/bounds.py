@@ -86,7 +86,8 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     it brackets |G| between two integers times one power of two and reads
     the float off the bracket only when both ends share their bit length
     and top 64 bits, so |G| itself does too; otherwise, and for smaller
-    |G|, it sums |G| exactly.
+    |G|, it sums |G| exactly. At k = 1, where |G| = 0, it gives -inf, and
+    B reads 2^-inf = 0.0 exactly.
 
     |G| is counted under the cell gate passed first (p proven prime once,
     cached per p), not through count_subfield_elements' own check of q.
@@ -95,8 +96,7 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     half_log2 = 0.5 * k * math.log2(p)
     inv = 2.0 ** (-half_log2)  # p^{-k/2}; harmless underflow to 0 for huge p^k
     log2_a = 1.0 + half_log2 + math.log1p(-inv) / _LN2 - math.log1p(inv) / _LN2
-    subfield_log2 = _subfield_log2(p, k)
-    r = 0.0 if subfield_log2 is None else 2.0 ** (subfield_log2 - half_log2)
+    r = 2.0 ** (_subfield_log2(p, k) - half_log2)
     b = (2.0 * r - 2.0) / (1.0 + inv)
     return log2_a, b
 

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import stat
 import statistics
@@ -301,7 +302,9 @@ def cmd_w(args: argparse.Namespace) -> int:
     if args.x is not None:
         print(_fmt(w0_real(args.x).value))
     elif args.log_x is not None:
-        print(_fmt(w0_from_log(args.log_x).value))
+        # w0_from_log takes L >= 1; below that e^L < e is a plain float
+        w = w0_real(math.exp(args.log_x)) if args.log_x < 1.0 else w0_from_log(args.log_x)
+        print(_fmt(w.value))
     else:
         value = w0_complex(_parse_complex(args.comp)).value
         sign = "+" if value.imag >= 0 else "-"
@@ -402,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--x", type=float,
                        help="real argument; write --x=X if X is negative with an exponent")
     group.add_argument("--log-x", type=float, metavar="L",
-                       help="natural log of the argument; write --log-x=L if L is negative"
-                       " with an exponent")
+                       help="natural log of the argument, any finite L; write --log-x=L"
+                       " if L is negative with an exponent")
     group.add_argument("--complex", dest="comp",
                        help="complex argument 'RE,IM'; write --complex=RE,IM if RE is negative")
     sp.set_defaults(func=cmd_w)

@@ -2,9 +2,9 @@
 
 Coefficient vectors are int64 array rows, lowest degree first: a monic
 one of degree k is (a_0, ..., a_{k-1}, 1), for its tail id sum a_i p^i.
-One sieve decides irreducibility. Extension fields are F_p[x]/(m) for a
-monic irreducible m, by default the lexicographically first of its degree,
-so that every construction is reproducible run to run.
+One sieve decides irreducibility. Extension fields are F_p[x]/(m) for
+m the lexicographically first monic irreducible of its degree, so that
+every construction is reproducible run to run.
 
 Only odd prime characteristics are accepted: the quadratic character that
 everything downstream consumes does not exist in characteristic 2.
@@ -126,8 +126,8 @@ def enumerate_irreducibles(p: int, k: int) -> np.ndarray:
     monic irreducible of degree d <= k/2 (sieved the same way) with a
     monic polynomial of degree k - d is marked reducible in a table of p^k
     flags, with numpy computing the products in blocks of 2^14. The same
-    table picks and checks an ExtField's modulus, a row of the same form;
-    it is the package's only irreducibility test.
+    table picks an ExtField's modulus, a row of the same form; it is the
+    package's only irreducibility test.
     """
     _require_cell(p, k)
     return _monic_rows(p, k, np.flatnonzero(_sieve(p, k)))
@@ -143,31 +143,17 @@ class ExtField:
     coefficients, so id 0 is zero, id 1 is one and id p is the generator
     image x.
 
-    The modulus is a read-only (k + 1,) int64 row of the form of
-    enumerate_irreducibles(p, k), whose first row is the default; a given
-    one must be k + 1 residues mod p, the last 1. Every modulus is picked
-    or checked in that sieve's table, so a field past DEFAULT_ENUM_BUDGET
-    elements is refused here, at any degree (so no element array or power
-    table passes it); for k = 1 every monic linear polynomial is flagged,
-    so x is the default.
+    The modulus is the first row of enumerate_irreducibles(p, k), as a
+    read-only (k + 1,) int64 row. It is picked in that sieve's table, so a
+    field past DEFAULT_ENUM_BUDGET elements is refused here, at any degree
+    (so no element array or power table passes it); for k = 1 every monic
+    linear polynomial is flagged, so the modulus is x.
     """
 
-    def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, k: int):
         _require_cell(p, k)
-        irreducible = _sieve(p, k)
-        if modulus is None:
-            # the lowest flagged tail id (a flag is set: irreducibles exist)
-            tail = np.argmax(irreducible)
-        else:
-            row = np.asarray(modulus)
-            if (row.shape != (k + 1,) or row.dtype.kind not in "iu"
-                    or not ((0 <= row) & (row < p)).all() or row[k] != 1):
-                raise ValueError(
-                    f"modulus must be {k + 1} residues mod {p}, the last 1, got {row.tolist()}"
-                )
-            tail = _ids(p, row[None, :k].astype(np.int64))[0]
-            if not irreducible[tail]:
-                raise ValueError(f"modulus must be monic irreducible, got {row.tolist()}")
+        # the lowest flagged tail id (a flag is set: irreducibles exist)
+        tail = np.argmax(_sieve(p, k))
         self.p = p
         self.k = k
         self.modulus = _monic_rows(p, k, np.array([tail]))[0]

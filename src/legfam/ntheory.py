@@ -3,11 +3,11 @@ every entry point, divisors, the package's one factor pass for distinct
 primes, counts of monic irreducible polynomials over finite fields, and
 base-2 logarithms of integers far too large for floats.
 
-Everything is exact integer arithmetic except the floats that log2_of_big,
-_subfield_log2 and _irreducible_log2 return. The last two give log2_of_big
-of |G| and of I_q(n) bit for bit: past a size cutoff they read the float off
-an integer bracket of the count that they have certified, and otherwise off
-the exact count.
+Everything is exact integer arithmetic except the floats that log2_of_big
+and _count_log2 return. _count_log2 is the one route to log2 |G| and
+log2 I_q(n), bit for bit the log2_of_big of the count: past a size cutoff
+it reads the float off an integer bracket of the count that it has
+certified, and otherwise off the exact count.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def count_irreducibles(q: int, n: int) -> int:
     (q^n - count_subfield_elements(q, n)) / n. The difference is always
     divisible by n; this is asserted rather than assumed.
 
-    This is the one exact route to the count. _irreducible_log2, which
+    This is the one exact route to the count. _count_log2, which
     bounds.upper_bound reads, brackets the count instead past its size
     cutoff, so there the assertion runs only when the bracket falls back.
     """
@@ -197,7 +197,7 @@ def count_subfield_elements(q: int, n: int) -> int:
     _require_degree(n)
     if is_prime_power(q) is None:
         raise ValueError(f"field order must be a prime power, got {q}")
-    return _subfield_count(q, n)
+    return _subfield_count(q, _subfield_terms(n))
 
 
 def _subfield_terms(n: int) -> list[tuple[int, int]]:
@@ -210,61 +210,63 @@ def _subfield_terms(n: int) -> list[tuple[int, int]]:
     return [(n // d, -mu) for d, mu in terms[1:]]
 
 
-def _subfield_count(q: int, n: int, terms: list[tuple[int, int]] | None = None) -> int:
-    # count_subfield_elements past its gates; terms are _subfield_terms(n)
-    if terms is None:
-        terms = _subfield_terms(n)
+def _subfield_count(q: int, terms: list[tuple[int, int]]) -> int:
+    # count_subfield_elements past its gates, from terms = _subfield_terms(n)
     return sum(sign * q ** e for e, sign in terms)
 
 
-# The bracket routes (_subfield_log2 for |G|, _irreducible_log2 for I_q(n))
-# bracket each power to _BRACKET_BITS bits. Below _EXACT_BELOW_BITS bits in
-# the largest power (as e * bit_length(q)) both take the exact count
-# instead. Timed for |G| on the 1,212 cells with q = 7919, 1048573 or
-# 2128240847, n < 700 and 1,000-7,999 such bits (2-core Intel Xeon, Python
-# 3.11.7), the bracket was faster on 20% of them at 1,000-1,499 bits,
-# 51-59% at 2,000-2,499, 76-77% at 2,500-2,999, 93-96% at 3,000-3,499 and
-# 98-100% from 3,500 on. The cutoff sits where the bracket first wins on
-# more than nine cells in ten
+# _count_log2 brackets each power to _BRACKET_BITS bits. Below
+# _EXACT_BELOW_BITS bits in the largest power (as e * bit_length(q)) it
+# takes the exact count instead. Timed for |G| on the 1,212 cells with
+# q = 7919, 1048573 or 2128240847, n < 700 and 1,000-7,999 such bits
+# (2-core Intel Xeon, Python 3.11.7), the bracket was faster on 20% of them
+# at 1,000-1,499 bits, 51-59% at 2,000-2,499, 76-77% at 2,500-2,999,
+# 93-96% at 3,000-3,499 and 98-100% from 3,500 on. The cutoff sits where
+# the bracket first wins on more than nine cells in ten
 _BRACKET_BITS = 128
 _EXACT_BELOW_BITS = 3072
 
 
-def _subfield_log2(q: int, n: int) -> float | None:
-    """log2_of_big(_subfield_count(q, n)) bit for bit, or None when the
-    count is 0 (n = 1), without building the count when it is large.
-
-    The count is bracketed by _bracket_sum and read by _certified_log2;
-    when the certificate fails, and below _EXACT_BELOW_BITS, the exact
-    count is taken.
-    """
-    terms = _subfield_terms(n)
-    if not terms:
-        return None
-    if terms[0][0] * q.bit_length() >= _EXACT_BELOW_BITS:
-        log2 = _certified_log2(*_bracket_sum(q, terms))
-        if log2 is not None:
-            return log2
-    return log2_of_big(_subfield_count(q, n, terms))
+def _subfield_log2(q: int, n: int) -> float:
+    """_count_log2 of |G|: log2_of_big(count_subfield_elements(q, n)), -inf at n = 1."""
+    return _count_log2(q, n, irreducible=False)
 
 
 def _irreducible_log2(q: int, n: int) -> float:
-    """log2_of_big(count_irreducibles(q, n)) bit for bit, without building
-    q^n when it is large.
+    """_count_log2 of I_q(n): log2_of_big(count_irreducibles(q, n)) bit for bit."""
+    return _count_log2(q, n, irreducible=True)
 
-    q^n - |G| is bracketed by _bracket_sum, and both ends are divided by n
-    with 64 extra bits, the low end rounded down and the high end up, so
-    the bracket still holds the count. When _certified_log2 reads it, that
-    is the float; otherwise, and below _EXACT_BELOW_BITS bits in q^n, the
-    exact count_irreducibles is taken.
+
+def _count_log2(q: int, n: int, irreducible: bool) -> float:
+    """log2_of_big of I_q(n) = (q^n - |G|) / n when irreducible, else of
+    |G| (-inf at n = 1, where |G| = 0), without building the count when it
+    is large.
+
+    Past _EXACT_BELOW_BITS bits in the count's largest power (q^n for
+    I_q(n)), its terms are bracketed by _bracket_sum, and both ends are
+    divided by its divisor (n, or 1 for |G|) with 64 extra bits, the low
+    end rounded down and the high end up, so the bracket still holds the
+    count. When both ends share their bit length and top 64 bits, which
+    are all log2_of_big reads, every integer in it has one float, returned.
+    Otherwise the exact count is taken: count_irreducibles, or |G| summed
+    from the terms already in hand, so n is factored once either way.
     """
-    if n * q.bit_length() >= _EXACT_BELOW_BITS:
-        terms = [(n, 1)] + [(e, -sign) for e, sign in _subfield_terms(n)]
+    if irreducible:
+        top, divisor = n, n
+    else:
+        terms = _subfield_terms(n)
+        if not terms:
+            return -math.inf
+        top, divisor = terms[0][0], 1
+    if top * q.bit_length() >= _EXACT_BELOW_BITS:
+        if irreducible:
+            terms = [(n, 1)] + [(e, -sign) for e, sign in _subfield_terms(n)]
         lo, hi, shift = _bracket_sum(q, terms)
-        log2 = _certified_log2((lo << 64) // n, -(-(hi << 64) // n), shift - 64)
-        if log2 is not None:
-            return log2
-    return log2_of_big(count_irreducibles(q, n))
+        lo, hi = (lo << 64) // divisor, -(-(hi << 64) // divisor)
+        cut = lo.bit_length() - 64
+        if cut >= 0 and hi.bit_length() == lo.bit_length() and lo >> cut == hi >> cut:
+            return math.log2(lo >> cut) + float(shift - 64 + cut)
+    return log2_of_big(count_irreducibles(q, n) if irreducible else _subfield_count(q, terms))
 
 
 def _bracket_sum(q: int, terms: list[tuple[int, int]]) -> tuple[int, int, int]:
@@ -286,17 +288,6 @@ def _bracket_sum(q: int, terms: list[tuple[int, int]]) -> tuple[int, int, int]:
         else:
             lo_sum, hi_sum = lo_sum - hi, hi_sum - lo
     return lo_sum, hi_sum, shift
-
-
-def _certified_log2(lo: int, hi: int, shift: int) -> float | None:
-    # log2_of_big(x) for every integer x with lo * 2^shift <= x <= hi * 2^shift
-    # (shift >= 0), or None when that is not one float: the two ends must
-    # share their bit length and top 64 bits, which are all log2_of_big reads
-    top_bits = lo.bit_length()
-    cut = top_bits - 64
-    if cut >= 0 and hi.bit_length() == top_bits and lo >> cut == hi >> cut:
-        return math.log2(lo >> cut) + float(shift + cut)
-    return None
 
 
 def _power_bracket(q: int, e: int) -> tuple[int, int, int]:

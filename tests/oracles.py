@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -133,15 +134,26 @@ def _fp_irreducible(f: tuple[int, ...], r: int) -> bool:
 class TinyField:
     """Lookup-table field of order q = r^e; fine for q up to a few hundred."""
 
-    def __init__(self, q: int):
+    def __init__(self, q: int, modulus: Sequence[int] | None = None):
         r, e = _prime_power(q)
         self.q, self.r, self.e = q, r, e
+        if modulus is None:
+            # the first monic irreducible in _monic_tails order, lowest degree first
+            modulus = next(f for f in _monic_tails(r, e) if _fp_irreducible(f, r))
+        else:
+            # a given modulus, lowest degree first, is checked by trial division
+            modulus = tuple(int(c) for c in modulus)
+            if (len(modulus) != e + 1 or modulus[-1] != 1
+                    or not all(0 <= c < r for c in modulus) or not _fp_irreducible(modulus, r)):
+                raise ValueError(
+                    f"modulus must be monic irreducible of degree {e} over F_{r}, got {modulus}"
+                )
+        self.modulus = modulus
         if e == 1:
+            # residues mod the linear modulus are the constants, multiplied mod r
             self.add = [[(i + j) % r for j in range(r)] for i in range(r)]
             self.mul = [[(i * j) % r for j in range(r)] for i in range(r)]
             return
-        # the first monic irreducible in _monic_tails order, lowest degree first
-        self.modulus = modulus = next(f for f in _monic_tails(r, e) if _fp_irreducible(f, r))
         vecs = [self._vec(i) for i in range(q)]
         self.add = [[0] * q for _ in range(q)]
         self.mul = [[0] * q for _ in range(q)]

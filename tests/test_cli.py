@@ -1,18 +1,22 @@
 import gc
+import inspect
 import json
 import math
 import os
 import re
 import stat
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from legfam import cli
+from legfam import bounds, checks, cli, gf, ntheory
 from legfam.bounds import BoundReport, make_report
 from legfam.cli import CSV_HEADER, main
 from legfam.errors import BudgetExceededError
+from legfam.lambertw import w0_real
 from legfam.ntheory import is_prime
 
 
@@ -32,6 +36,12 @@ def test_w_log_x(capsys):
     code, out, _ = run_cli(capsys, "w", "--log-x", "1000")
     assert code == 0
     assert float(out) == pytest.approx(993.0991694723891, abs=1e-9)
+
+
+def test_w_log_x_below_one(capsys):
+    # W(e^L) for L < 1 is read off e^L itself, below the log-domain solver's range
+    want = cli._fmt(w0_real(math.exp(0.5)).value) + "\n"
+    assert run_cli(capsys, "w", "--log-x=0.5") == (0, want, "")
 
 
 def test_w_complex(capsys):
@@ -575,3 +585,76 @@ def test_unknown_subcommand_usage(capsys):
 
 def test_missing_subcommand_usage(capsys):
     assert run_cli(capsys)[0] == 1
+
+
+# every subcommand once, on the paths a user takes: bound in all three
+# formats (one row past the bracket cutoff), scan to stdout and to a file
+# with its gnuplot script, bench, crossover, the oracle's result and its
+# budget refusal, w on each input, verify all and family --dump
+EVERY_SUBCOMMAND = (
+    ("bound", "--p", "7", "--k", "2"),
+    ("bound", "--p", "7", "--k", "2", "--format", "csv"),
+    ("bound", "--p", "2128240847", "--k", "2000", "--format", "json"),
+    ("scan", "--k", "1", "--p-min", "3", "--p-max", "30"),
+    ("scan", "--p", "7", "--k-min", "1", "--k-max", "3", "--out", "{tmp}/rows.csv", "--gnuplot"),
+    ("bench", "--p", "7", "--k-min", "1", "--k-max", "2", "--reps", "3"),
+    ("crossover", "--k", "1"),
+    ("oracle", "--p", "13", "--k", "2"),
+    ("oracle", "--p", "13", "--k", "2", "--budget", "1", "--format", "json"),
+    ("w", "--x", "1"),
+    ("w", "--log-x", "1000"),
+    ("w", "--log-x=0.5"),
+    ("w", "--complex", "1,0"),
+    ("verify", "all"),
+    ("family", "--p", "5", "--k", "2", "--dump"),
+)
+
+
+def _where(code) -> tuple[str, int, str]:
+    return Path(code.co_filename).name, code.co_firstlineno, code.co_name
+
+
+def _package_functions() -> set[tuple[str, int, str]]:
+    # every def in the package, nested ones too; lambdas, comprehensions
+    # and class bodies are not functions here
+    out = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack += [c for c in code.co_consts if inspect.iscode(c)]
+            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
+                out.add(_where(code))
+    return out
+
+
+def test_every_function_runs_on_some_subcommand(tmp_path, capsys):
+    # no library-only code: every function of the package is entered by
+    # some subcommand, except the lemma 4 closed form that acceptance
+    # criterion 6 checks, and code that runs only on failure or for display
+    package = str(Path(cli.__file__).parent)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            entered.add(_where(frame.f_code))
+
+    # functions behind a cache run only on a miss
+    cli.build_parser.cache_clear()
+    ntheory._require_odd_prime.cache_clear()
+    for argv in EVERY_SUBCOMMAND:
+        sys.setprofile(profile)
+        try:
+            code = main([arg.format(tmp=tmp_path) for arg in argv])
+        finally:
+            sys.setprofile(None)
+        assert code == (3 if "--budget" in argv else 0), argv
+    capsys.readouterr()
+    never_entered = (
+        bounds.lemma4_closed_form,
+        bounds._require_lemma4_inputs,
+        checks.CheckReport.record,
+        cli._Parser.error,
+        gf.ExtField.__repr__,
+    )
+    assert _package_functions() - entered == {_where(f.__code__) for f in never_entered}

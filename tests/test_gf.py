@@ -52,19 +52,6 @@ def test_enumerate_counts_match_formula():
         assert keys == sorted(keys)
 
 
-def test_is_irreducible_matches_trial_division():
-    # a given monic modulus is accepted iff trial division finds it irreducible
-    for p, k in ((3, 2), (3, 3), (5, 2), (7, 2), (3, 4)):
-        for t in itertools.product(range(p), repeat=k):
-            coeffs = t + (1,)
-            try:
-                ExtField(p, k, modulus=coeffs)
-                accepted = True
-            except ValueError:
-                accepted = False
-            assert accepted == _fp_irreducible(coeffs, p), (p, coeffs)
-
-
 def test_enumerate_budget(monkeypatch):
     # 1031^2 = 1,062,961 candidates, past the 2^20 enumeration budget:
     # refused before the sieve runs
@@ -193,6 +180,8 @@ def test_ext_field_construction_and_ids():
     F = ExtField(3, 2)
     assert F.size == 9
     assert F.modulus.tolist() == [1, 0, 1]
+    assert F.modulus.dtype == np.int64 and not F.modulus.flags.writeable
+    assert repr(F) == "ExtField(p=3, k=2, modulus=[1, 0, 1])"
     els = F.elements()
     assert els.shape == (9, 2) and els.dtype == np.int64
     for i in range(9):
@@ -201,30 +190,6 @@ def test_ext_field_construction_and_ids():
     assert els[0].tolist() == [0, 0]  # zero
     assert els[1].tolist() == [1, 0]  # one
     assert els[3].tolist() == [0, 1]  # x
-
-
-def test_ext_field_rejects_bad_modulus():
-    for modulus in (
-        (0, 0, 1),  # x^2 is reducible
-        (1, 3, 1),  # an entry >= p
-        (1, -1, 1),  # a negative entry
-        (1, 0, 2),  # leading coefficient 2
-        (2, 0, 0),  # leading coefficient 0
-        (1, 1),  # length k
-        (1, 0, 1, 0),  # length k + 2
-    ):
-        with pytest.raises(ValueError, match="modulus must be"):
-            ExtField(3, 2, modulus=modulus)
-
-
-def test_given_modulus_is_stored_as_given():
-    # x^2 + x + 2 is the second irreducible of degree 2 over F_3, not the default
-    for modulus in ((2, 1, 1), [2, 1, 1], np.array([2, 1, 1])):
-        F = ExtField(3, 2, modulus=modulus)
-        assert F.modulus.tolist() == [2, 1, 1]
-        assert F.modulus.dtype == np.int64 and not F.modulus.flags.writeable
-    assert ExtField(13, 1, modulus=(5, 1)).modulus.tolist() == [5, 1]
-    assert repr(ExtField(3, 2)) == "ExtField(p=3, k=2, modulus=[1, 0, 1])"
 
 
 def test_ext_field_element_arithmetic_small():
@@ -241,15 +206,24 @@ def test_ext_field_element_arithmetic_small():
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
 def test_element_arithmetic_matches_lookup_table_field(p, k):
-    # TinyField tabulates schoolbook arithmetic modulo the first irreducible
-    # it finds by trial division; both number elements lowest digit first
-    T = TinyField(p ** k)
-    F = ExtField(p, k, modulus=T.modulus)
+    # TinyField tabulates schoolbook arithmetic modulo the field's modulus,
+    # checked irreducible by its own trial division; both number elements
+    # lowest digit first
+    F = ExtField(p, k)
+    T = TinyField(p ** k, modulus=F.modulus)
     els = F.elements()
     n = F.size
     a, b = np.repeat(els, n, axis=0), np.tile(els, (n, 1))
     assert (ids_of(F, (a + b) % p) == np.array(T.add).reshape(-1)).all(), (p, k)
     assert (ids_of(F, _mul(F, a, b)) == np.array(T.mul).reshape(-1)).all(), (p, k)
+
+
+def test_lookup_table_field_checks_a_given_modulus():
+    # TinyField trial-divides a given modulus itself: x^2 = x * x over F_3
+    # is refused, and x^2 + x + 2, irreducible but not its default, is kept
+    with pytest.raises(ValueError, match="monic irreducible"):
+        TinyField(9, modulus=(0, 0, 1))
+    assert TinyField(9).modulus != TinyField(9, modulus=(2, 1, 1)).modulus == (2, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -278,8 +252,8 @@ def test_mul_matches_schoolbook_on_random_pairs(p, k):
 def test_pow_at_small_exponents_matches_lookup_table_field(p, k):
     # e = 0 gives one everywhere, zero included; no result shares memory
     # with its input, e = 1 included
-    T = TinyField(p ** k)
-    F = ExtField(p, k, modulus=T.modulus) if k > 1 else ExtField(p, 1)
+    F = ExtField(p, k)
+    T = TinyField(p ** k, modulus=F.modulus)
     els = F.elements()
     ids = np.arange(F.size)
     for e, want in ((0, np.ones_like(ids)), (1, ids), (2, np.array(T.mul)[ids, ids])):
@@ -294,8 +268,8 @@ def test_pows_match_pow_exponent_by_exponent(p, k):
     # and ones of different bit lengths give what _pow gives for each, and
     # what e products in TinyField's table give; every result is its own
     # array, apart from the input and from each other
-    T = TinyField(p ** k)
-    F = ExtField(p, k, modulus=T.modulus) if k > 1 else ExtField(p, 1)
+    F = ExtField(p, k)
+    T = TinyField(p ** k, modulus=F.modulus)
     els = F.elements()
     exps = [5, 0, 1, 2, 5, 13, 1, 1000, F.size - 1]
     got = _pows(F, els, exps)
@@ -427,14 +401,14 @@ def refuse_prime_field_work(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda: ExtField(4294967311, 1, modulus=(0, 1)), id="extfield-4294967311-modulus-x"),
+    pytest.param(lambda: ExtField(4294967311, 1), id="extfield-4294967311-modulus-x"),
     pytest.param(lambda: ExtField(2 ** 64 + 13, 1), id="extfield-2**64+13"),
     pytest.param(lambda: legendre_symbol(np.arange(5), 1048583), id="legendre-array-1048583"),
     pytest.param(lambda: legendre_symbol(2, 2 ** 61 - 1), id="legendre-int-2**61-1"),
 ])
 def test_prime_field_objects_refuse_past_the_budget(monkeypatch, make):
     # a prime field of p > 2^20 elements is refused before any array is
-    # built: an ExtField by the sieve's gate, even with its modulus given,
+    # built: an ExtField by the sieve's gate, where its modulus is picked,
     # and a Legendre table by the gate on its p entries
     refuse_prime_field_work(monkeypatch)
     with pytest.raises(BudgetExceededError):

@@ -302,7 +302,7 @@ SUBFIELD_GRID = (
 
 def _exact_subfield_log2(q, n):
     count = count_subfield_elements(q, n)
-    return None if count == 0 else log2_of_big(count)
+    return -math.inf if count == 0 else log2_of_big(count)
 
 
 def _bracketed(q, n):
@@ -315,7 +315,7 @@ def test_subfield_log2_is_log2_of_big_of_the_exact_count():
     assert sum(_bracketed(q, n) for q, n in SUBFIELD_GRID) > 1000
     for q, n in SUBFIELD_GRID:
         assert ntheory._subfield_log2(q, n) == _exact_subfield_log2(q, n), (q, n)
-    assert ntheory._subfield_log2(3, 1) is None
+    assert ntheory._subfield_log2(3, 1) == -math.inf
 
 
 @pytest.mark.parametrize("width", [66, 72])
@@ -329,15 +329,15 @@ def test_subfield_log2_falls_back_to_the_exact_count(monkeypatch, width):
     fallbacks = []
     exact_count = ntheory._subfield_count
 
-    def recording_count(q, n, terms=None):
-        fallbacks.append((q, n))
-        return exact_count(q, n, terms)
+    def recording_count(q, terms):
+        fallbacks.append((q, terms))
+        return exact_count(q, terms)
 
     monkeypatch.setattr(ntheory, "_BRACKET_BITS", width)
     monkeypatch.setattr(ntheory, "_subfield_count", recording_count)
     assert [ntheory._subfield_log2(q, n) for q, n in cells] == want
     if width == 66:
-        assert fallbacks == cells
+        assert fallbacks == [(q, ntheory._subfield_terms(n)) for q, n in cells]
     else:
         assert 0 < len(fallbacks) < len(cells)  # and the bracket held on the rest
 
@@ -393,27 +393,33 @@ def test_irreducible_log2_divides_the_bracket_outward(monkeypatch, tight_end):
     else:
         total = ((lo + 1) << shift) - ((lo + 1) << shift) % n  # greatest one below
     seen = {}
+    divisions = []
+
+    class RecordingDivisor(int):
+        # n, recording every (numerator, quotient) of a floor division by it
+        def __rfloordiv__(self, numerator):
+            quotient = numerator // int(self)
+            divisions.append((numerator, quotient))
+            return quotient
 
     def fake_bracket_sum(q_, terms):
         seen["terms"] = terms
         return lo, lo + 1, shift
 
-    def recording_certificate(lo_, hi_, shift_):
-        seen["divided"] = lo_, hi_, shift_
-        return certified_log2(lo_, hi_, shift_)
-
     def no_exact_count(q_, n_):
         raise AssertionError("the bracket must hold")
 
-    certified_log2 = ntheory._certified_log2
     monkeypatch.setattr(ntheory, "_bracket_sum", fake_bracket_sum)
-    monkeypatch.setattr(ntheory, "_certified_log2", recording_certificate)
     monkeypatch.setattr(ntheory, "count_irreducibles", no_exact_count)
-    assert ntheory._irreducible_log2(q, n) == log2_of_big(total // n)
+    got = ntheory._count_log2(q, RecordingDivisor(n), irreducible=True)
+    assert got == log2_of_big(total // n)
     subfield_terms = ntheory._subfield_terms(n)
     assert seen["terms"] == [(n, 1)] + [(e, -sign) for e, sign in subfield_terms]
-    div_lo, div_hi, div_shift = seen["divided"]
-    assert div_shift == shift - 64
+    # both ends are divided with 64 extra bits: x // n is floor(x / n), and
+    # -(-x // n) is ceil(x / n)
+    assert [abs(num) for num, _ in divisions] == [lo << 64, (lo + 1) << 64]
+    div_lo, div_hi = (quot if num > 0 else -quot for num, quot in divisions)
+    div_shift = shift - 64
     assert (div_lo << div_shift) * n <= total <= (div_hi << div_shift) * n
 
 
@@ -516,13 +522,13 @@ def test_compute_A_B_sums_g_exactly_only_under_the_cutoff(monkeypatch):
     reached = []
     exact_count = ntheory._subfield_count
 
-    def recording_count(q, n, terms=None):
-        reached.append(n)
-        return exact_count(q, n, terms)
+    def recording_count(q, terms):
+        reached.append(terms)
+        return exact_count(q, terms)
 
     monkeypatch.setattr(ntheory, "_subfield_count", recording_count)
     for k in range(1, 2001):
         bounds.compute_A_B(p, k)
     small = [k for k in range(2, 2001) if not _bracketed(p, k)]
-    assert reached == small
+    assert reached == [ntheory._subfield_terms(k) for k in small]
     assert len(small) < 700  # most of the 2,000 rows take the bracket
