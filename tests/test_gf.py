@@ -180,8 +180,6 @@ def test_ext_field_construction_and_ids():
     F = ExtField(3, 2)
     assert F.size == 9
     assert F.modulus.tolist() == [1, 0, 1]
-    assert F.modulus.dtype == np.int64 and not F.modulus.flags.writeable
-    assert repr(F) == "ExtField(p=3, k=2, modulus=[1, 0, 1])"
     els = F.elements()
     assert els.shape == (9, 2) and els.dtype == np.int64
     for i in range(9):
@@ -190,6 +188,18 @@ def test_ext_field_construction_and_ids():
     assert els[0].tolist() == [0, 0]  # zero
     assert els[1].tolist() == [1, 0]  # one
     assert els[3].tolist() == [0, 1]  # x
+
+
+def test_given_modulus_is_stored_as_given():
+    # the sieve's first irreducible is stored low coefficient first, as a
+    # read-only int64 array that callers cannot alter under the field
+    for p, k, modulus in ((3, 2, [1, 0, 1]), (13, 1, [0, 1]), (3, 3, [1, 2, 0, 1])):
+        F = ExtField(p, k)
+        assert F.modulus.tolist() == modulus, (p, k)
+        assert F.modulus.dtype == np.int64 and not F.modulus.flags.writeable
+        with pytest.raises(ValueError):
+            F.modulus[0] = 2
+    assert repr(ExtField(3, 2)) == "ExtField(p=3, k=2, modulus=[1, 0, 1])"
 
 
 def test_ext_field_element_arithmetic_small():
