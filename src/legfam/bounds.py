@@ -82,12 +82,12 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     only log2|G|, and it must be the log2_of_big of the exact |G|: for even
     k the two leading terms of B cancel to relative size p^{-k/6}, so a
     float divisor sum would lose every significant digit. ntheory's
-    _subfield_log2 gives that float bit for bit. Past a few thousand bits
-    it brackets |G| between two integers times one power of two and reads
-    the float off the bracket only when both ends share their bit length
-    and top 64 bits, so |G| itself does too; otherwise, and for smaller
-    |G|, it sums |G| exactly. At k = 1, where |G| = 0, it gives -inf, and
-    B reads 2^-inf = 0.0 exactly.
+    _subfield_log2 gives that float bit for bit. Past 3,072 bits in |G|'s
+    largest term it brackets that power alone, one unit wider at each end
+    for the rest of |G|, and reads the float off the bracket only when both
+    ends share their bit length and top 64 bits, so |G| itself does too;
+    otherwise, and for smaller |G|, it sums |G| exactly. At k = 1, where
+    |G| = 0, it gives -inf, and B reads 2^-inf = 0.0 exactly.
 
     |G| is counted under the cell gate passed first (p proven prime once,
     cached per p), not through count_subfield_elements' own check of q.
@@ -196,10 +196,10 @@ def upper_bound(p: int, k: int) -> float:
 
     The family has I_p(k) = (p^k - |G|)/k members, and this is
     log2_of_big(count_irreducibles(p, k)) bit for bit. Past 3,072 bits in
-    p^k, ntheory's _irreducible_log2 reads it off an integer bracket of
-    I_p(k) whose two ends share their bit length and top 64 bits, so p^k is
-    never built; it counts I_p(k) exactly below that size or when the
-    bracket is too wide.
+    p^k, ntheory's _irreducible_log2 brackets p^k alone, one unit wider at
+    each end for |G|, divided by k, and reads the float when both ends share
+    their bit length and top 64 bits, so neither p^k nor |G| is built; it
+    counts I_p(k) exactly below that size or when the bracket fails.
     """
     _require_cell(p, k)
     return _irreducible_log2(p, k)

@@ -299,6 +299,9 @@ def _parse_complex(text: str) -> complex:
 
 
 def cmd_w(args: argparse.Namespace) -> int:
+    for flag, value in (("--x", args.x), ("--log-x", args.log_x)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.x is not None:
         print(_fmt(w0_real(args.x).value))
     elif args.log_x is not None:

@@ -104,7 +104,9 @@ def w0_from_log(log_x: float) -> WResult:
 
     Requires log_x >= 1 (so the root is >= 1 and the equation is smooth);
     for smaller arguments materialize x and call w0_real instead. Newton
-    from the asymptotic start converges in a handful of steps.
+    from the asymptotic start converges in a handful of steps. Past w = 2
+    the step tolerance is below one ulp; when the steps bounce between two
+    adjacent floats, the loop stops on the one step _MAX_ITER would hold.
     """
     if not math.isfinite(log_x):
         raise ValueError(f"w0_from_log needs a finite argument, got {log_x}")
@@ -115,20 +117,22 @@ def w0_from_log(log_x: float) -> WResult:
     w = log_x - math.log(log_x) if log_x > 1.0 else 1.0
     if w < 1.0:
         w = 1.0
-    iterations = 0
+    prev = prev2 = math.nan
     for it in range(1, _MAX_ITER + 1):
-        iterations = it
-        f = w + math.log(w) - log_x
-        step = f * w / (w + 1.0)
-        w -= step
+        step = (w + math.log(w) - log_x) * w / (w + 1.0)
+        prev2, prev, w = prev, w, w - step
         if abs(step) <= 1e-16 * (2.0 + abs(w)):
+            break
+        if w == prev2:  # a 2-cycle: step _MAX_ITER would end on w or on prev
+            if (_MAX_ITER - it) % 2:
+                w = prev
             break
     residual = abs(w + math.log(w) - log_x)
     if residual > _LOG_RESIDUAL * max(1.0, abs(log_x)):
         raise ConvergenceError(
             f"w0_from_log({log_x!r}) stalled at w={w!r} with residual {residual:.3e}"
         )
-    return WResult(w, residual, iterations)
+    return WResult(w, residual, it)
 
 
 def _initial_complex(z: complex) -> complex:

@@ -6,8 +6,9 @@ base-2 logarithms of integers far too large for floats.
 Everything is exact integer arithmetic except the floats that log2_of_big
 and _count_log2 return. _count_log2 is the one route to log2 |G| and
 log2 I_q(n), bit for bit the log2_of_big of the count: past a size cutoff
-it reads the float off an integer bracket of the count that it has
-certified, and otherwise off the exact count.
+it brackets only the count's largest power, widened by one unit that an
+integer guard proves covers every other term, and reads the float off that
+bracket when it certifies one; otherwise it reads the exact count.
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ def count_subfield_elements(q: int, n: int) -> int:
     By Moebius inversion of q^n = sum_{d | n} d * I_q(d) the count is
     |G| = -sum_{d | n, d > 1} mu(d) * q^(n/d), taken over the squarefree d
     only (mu vanishes elsewhere), which one trial-division pass over n
-    builds from its distinct primes. Its largest term is q^(n/2) (or q^(n/r)
-    for the least prime r dividing n), so q^n itself is never built.
+    builds from its distinct primes. Its largest term is q^(n/r), for r
+    the least prime of n, so q^n itself is never built.
     Exact for any size; the result can be thousands of bits long.
     """
     _require_degree(n)
@@ -215,14 +216,15 @@ def _subfield_count(q: int, terms: list[tuple[int, int]]) -> int:
     return sum(sign * q ** e for e, sign in terms)
 
 
-# _count_log2 brackets each power to _BRACKET_BITS bits. Below
-# _EXACT_BELOW_BITS bits in the largest power (as e * bit_length(q)) it
-# takes the exact count instead. Timed for |G| on the 1,212 cells with
-# q = 7919, 1048573 or 2128240847, n < 700 and 1,000-7,999 such bits
-# (2-core Intel Xeon, Python 3.11.7), the bracket was faster on 20% of them
-# at 1,000-1,499 bits, 51-59% at 2,000-2,499, 76-77% at 2,500-2,999,
-# 93-96% at 3,000-3,499 and 98-100% from 3,500 on. The cutoff sits where
-# the bracket first wins on more than nine cells in ten
+# _count_log2 brackets the count's largest power to _BRACKET_BITS bits,
+# and takes the exact count below _EXACT_BELOW_BITS bits in that power (as
+# e * bit_length(q)). On the cells with q = 7919, 1048573 or 2128240847,
+# n < 700 and 1,000-7,999 such bits (2-core Intel Xeon, Python 3.11.7), the
+# bracket was faster for |G| on 86% of them at 1,000-1,499 bits, 97% at
+# 1,500-1,999, 99% at 2,000-2,999 and 100% from 3,000 on, and for I_q(n) on
+# all. Below 3,008 bits, though, the guard fails on some figure-grid cells
+# (the largest: |G| at q = 2128240847, n = 1843 = 19 * 97), and a failed
+# guard pays for both routes, so the cutoff stays where no grid cell fails
 _BRACKET_BITS = 128
 _EXACT_BELOW_BITS = 3072
 
@@ -239,62 +241,50 @@ def _irreducible_log2(q: int, n: int) -> float:
 
 def _count_log2(q: int, n: int, irreducible: bool) -> float:
     """log2_of_big of I_q(n) = (q^n - |G|) / n when irreducible, else of
-    |G| (-inf at n = 1, where |G| = 0), without building the count when it
-    is large.
+    |G| (-inf at n = 1, where |G| = 0), without building a large count.
 
-    Past _EXACT_BELOW_BITS bits in the count's largest power (q^n for
-    I_q(n)), its terms are bracketed by _bracket_sum, and both ends are
-    divided by its divisor (n, or 1 for |G|) with 64 extra bits, the low
-    end rounded down and the high end up, so the bracket still holds the
-    count. When both ends share their bit length and top 64 bits, which
-    are all log2_of_big reads, every integer in it has one float, returned.
+    Past the cutoff, _count_bracket's bracket of count * divisor (n, or 1
+    for |G|) is divided with 64 extra bits, low end down and high end up.
+    When both ends share their bit length and top 64 bits, which are all
+    log2_of_big reads, every integer in it has one float, returned.
     Otherwise the exact count is taken: count_irreducibles, or |G| summed
-    from the terms already in hand, so n is factored once either way.
+    over _subfield_terms(n).
     """
-    if irreducible:
-        top, divisor = n, n
-    else:
-        terms = _subfield_terms(n)
-        if not terms:
-            return -math.inf
-        top, divisor = terms[0][0], 1
-    if top * q.bit_length() >= _EXACT_BELOW_BITS:
-        if irreducible:
-            terms = [(n, 1)] + [(e, -sign) for e, sign in _subfield_terms(n)]
-        lo, hi, shift = _bracket_sum(q, terms)
+    if n == 1 and not irreducible:
+        return -math.inf
+    bracket = _count_bracket(q, n, irreducible)
+    if bracket is not None:
+        lo, hi, shift = bracket
+        divisor = n if irreducible else 1
         lo, hi = (lo << 64) // divisor, -(-(hi << 64) // divisor)
         cut = lo.bit_length() - 64
         if cut >= 0 and hi.bit_length() == lo.bit_length() and lo >> cut == hi >> cut:
             return math.log2(lo >> cut) + float(shift - 64 + cut)
-    return log2_of_big(count_irreducibles(q, n) if irreducible else _subfield_count(q, terms))
+    exact = count_irreducibles(q, n) if irreducible else _subfield_count(q, _subfield_terms(n))
+    return log2_of_big(exact)
 
 
-def _bracket_sum(q: int, terms: list[tuple[int, int]]) -> tuple[int, int, int]:
-    # (lo, hi, s) with lo * 2^s <= sum(sign * q^e) <= hi * 2^s, for terms
-    # (e, sign) led by the largest power with sign +1. That power sets s,
-    # the shift of its _power_bracket; a term that stays below 2^s is
-    # bracketed as [0, 1], and every other one by its own bracket, shifted
-    # to s with lo rounded down and hi up
+def _count_bracket(q: int, n: int, irreducible: bool) -> tuple[int, int, int] | None:
+    # (lo, hi, s) with lo 2^s <= count * divisor <= hi 2^s, or None under the
+    # cutoff or when the guard fails. count * divisor is the Moebius sum of
+    # +-q^(n/d) over the squarefree d | n, led by +q^(n/r): r = 1 for I_q(n),
+    # the least prime of n > 1 for |G|. Every other d is at least r + 1, so
+    # |rest| < q^(f + 1), f = n // (r + 1), and the guard puts that at or
+    # below 2^s: one unit of q^(n/r)'s _power_bracket, the slack at each end
+    r = 1 if irreducible else next(_prime_factors(n))
     bits = q.bit_length()
-    lo_sum, hi_sum, shift = _power_bracket(q, terms[0][0])
-    for e, sign in terms[1:]:
-        if e * bits <= shift:
-            lo, hi = 0, 1  # q^e < 2^(e bits) <= 2^shift
-        else:
-            lo, hi, s = _power_bracket(q, e)
-            lo, hi = lo >> (shift - s), -(-hi >> (shift - s))
-        if sign > 0:
-            lo_sum, hi_sum = lo_sum + lo, hi_sum + hi
-        else:
-            lo_sum, hi_sum = lo_sum - hi, hi_sum - lo
-    return lo_sum, hi_sum, shift
+    if n // r * bits < _EXACT_BELOW_BITS:
+        return None
+    lo, hi, shift = _power_bracket(q, n // r)
+    if (n // (r + 1) + 1) * bits > shift:
+        return None
+    return lo - 1, hi + 1, shift
 
 
 def _power_bracket(q: int, e: int) -> tuple[int, int, int]:
     # (lo, hi, s) with lo * 2^s <= q^e <= hi * 2^s and hi <= 2^_BRACKET_BITS,
     # left-to-right over the bits of e. Once a step truncates, s is
-    # bit_length(q^e) - _BRACKET_BITS give or take one, so the largest term
-    # of a _bracket_sum, q >= 2 times any other, has the largest shift
+    # bit_length(q^e) - _BRACKET_BITS give or take one
     lo = hi = 1
     s = 0
     for bit in bin(e)[2:]:

@@ -259,9 +259,11 @@ def test_make_report_fields_consistent():
 
 
 def test_make_report_evaluates_A_B_once_per_row(monkeypatch):
-    # one compute_A_B per row, and two factorings of k: one under
-    # compute_A_B's |G|, one under upper_bound's I_p(k) (its bracket, or
-    # count_irreducibles below the cutoff)
+    # one compute_A_B per row. k is factored in full only on an exact count:
+    # |G| under the cutoff (627 rows: k / r < 100, r the least prime of k,
+    # and k > 1), and I_p(k) through count_irreducibles (k < 100, 99 rows).
+    # A bracketed |G| finds only the least prime of k, and a bracketed
+    # I_p(k) does not factor k at all
     calls = {"compute_A_B": 0, "_subfield_terms": 0}
 
     def count(module, name):
@@ -277,7 +279,7 @@ def test_make_report_evaluates_A_B_once_per_row(monkeypatch):
     count(ntheory, "_subfield_terms")
     for k in range(1, 2001):
         make_report(2128240847, k)
-    assert calls == {"compute_A_B": 2000, "_subfield_terms": 4000}
+    assert calls == {"compute_A_B": 2000, "_subfield_terms": 726}
 
 
 def test_guaranteed_j_never_exceeds_family_capacity():

@@ -74,6 +74,14 @@ def test_w_domain_error_exit_code(capsys):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("flag", ["--x", "--log-x"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_w_non_finite_input_names_the_flag(capsys, flag, value):
+    assert run_cli(capsys, "w", f"{flag}={value}") == (
+        2, "", f"error: {flag} must be finite, got {value}\n"
+    )
+
+
 def test_w_requires_exactly_one_input(capsys):
     assert run_cli(capsys, "w")[0] == 1
     assert run_cli(capsys, "w", "--x", "1", "--log-x", "2")[0] == 1

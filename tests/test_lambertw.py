@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 
 import mpmath
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from legfam import bounds
 from legfam.lambertw import ConvergenceError, w0_complex, w0_from_log, w0_real
+from legfam.ntheory import primes_up_to
 from oracles import w_bisect, w_from_log_bisect
 
 _INV_E = math.exp(-1.0)
@@ -97,6 +100,52 @@ def test_w_from_log_domain_errors():
         w0_from_log(-5.0)
     with pytest.raises(ValueError):
         w0_from_log(math.inf)
+
+
+def _w_from_log_old_loop(log_x):
+    # w0_from_log's Newton loop as it was before it stopped on a 2-cycle:
+    # (w, steps), running all 80 steps unless one meets the step tolerance
+    w = log_x - math.log(log_x) if log_x > 1.0 else 1.0
+    if w < 1.0:
+        w = 1.0
+    for it in range(1, 81):
+        step = (w + math.log(w) - log_x) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= 1e-16 * (2.0 + abs(w)):
+            break
+    return w, it
+
+
+def test_w_from_log_stops_on_a_two_cycle_with_the_old_value(monkeypatch):
+    # every log-domain solve of make_report on the benchmark grids (k =
+    # 1..2000 at the bounds-k primes, k = 1 and 10 at every odd prime below
+    # 8000), then 10^5 random L: the value is the old loop's bit for bit,
+    # and no grid solve runs all 80 steps, though the old loop did on some
+    seen = []
+
+    def recording(log_x):
+        res = w0_from_log(log_x)
+        seen.append((log_x, res))
+        return res
+
+    monkeypatch.setattr(bounds, "w0_from_log", recording)
+    for p in (2128240847, 2110510001, 2111100881, 2082271531):
+        for k in range(1, 2001):
+            bounds.make_report(p, k)
+    for p in primes_up_to(7999, 3):
+        for k in (1, 10):
+            bounds.make_report(p, k)
+    old_full_runs = 0
+    for log_x, res in seen:
+        value, steps = _w_from_log_old_loop(log_x)
+        assert res.value == value, log_x
+        assert res.iterations < 80, log_x
+        old_full_runs += steps == 80
+    assert len(seen) > 16000 and old_full_runs > 50
+    rng = random.Random(2026)
+    for i in range(100_000):
+        log_x = 10.0 ** rng.uniform(0.0, 308.0) if i % 2 else rng.uniform(1.0, 60.0)
+        assert w0_from_log(log_x).value == _w_from_log_old_loop(log_x)[0], log_x
 
 
 def test_w_complex_matches_real_axis():

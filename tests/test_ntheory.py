@@ -384,15 +384,18 @@ def test_irreducible_log2_divides_the_bracket_outward(monkeypatch, tight_end):
     # divided bracket still holds the count. With 64 extra bits, rounding
     # either way moves an end by one unit, which cannot cross a multiple of
     # 2^cut while n < 2^64, so no float shows the direction; the enclosure
-    # does. Here one end of the bracket of q^n - |G| sits within n of it,
-    # and rounding that end inward after the division would pass the count
-    q, n, shift = 2128240847, 2000, 3000
-    lo = (1 << 127) + 1  # neither lo * 2^64 nor (lo + 1) * 2^64 is a multiple of n
+    # does. Here q^n's bracket is [lo, lo + 1], so q^n - |G| is bracketed
+    # by [lo - 1, lo + 2] with the slack; one end of that sits within n of
+    # the count, and rounding it inward after the division would pass it
+    q, n = 2128240847, 2000
+    shift = ntheory._power_bracket(q, n)[2]
+    lo = (1 << 127) + 1
+    low_end, high_end = lo - 1, lo + 2  # neither one times 2^64 is a multiple of n
     if tight_end == "low":
-        total = (lo << shift) + (-lo << shift) % n  # least multiple of n past lo 2^shift
+        total = (low_end << shift) + (-low_end << shift) % n  # least multiple of n past it
     else:
-        total = ((lo + 1) << shift) - ((lo + 1) << shift) % n  # greatest one below
-    seen = {}
+        total = (high_end << shift) - (high_end << shift) % n  # greatest one below it
+    seen = []
     divisions = []
 
     class RecordingDivisor(int):
@@ -402,25 +405,92 @@ def test_irreducible_log2_divides_the_bracket_outward(monkeypatch, tight_end):
             divisions.append((numerator, quotient))
             return quotient
 
-    def fake_bracket_sum(q_, terms):
-        seen["terms"] = terms
+    def fake_power_bracket(q_, e):
+        seen.append((q_, e))
         return lo, lo + 1, shift
 
     def no_exact_count(q_, n_):
         raise AssertionError("the bracket must hold")
 
-    monkeypatch.setattr(ntheory, "_bracket_sum", fake_bracket_sum)
+    monkeypatch.setattr(ntheory, "_power_bracket", fake_power_bracket)
     monkeypatch.setattr(ntheory, "count_irreducibles", no_exact_count)
     got = ntheory._count_log2(q, RecordingDivisor(n), irreducible=True)
     assert got == log2_of_big(total // n)
-    subfield_terms = ntheory._subfield_terms(n)
-    assert seen["terms"] == [(n, 1)] + [(e, -sign) for e, sign in subfield_terms]
+    assert seen == [(q, n)]  # only q^n is bracketed
     # both ends are divided with 64 extra bits: x // n is floor(x / n), and
     # -(-x // n) is ceil(x / n)
-    assert [abs(num) for num, _ in divisions] == [lo << 64, (lo + 1) << 64]
+    assert [abs(num) for num, _ in divisions] == [low_end << 64, high_end << 64]
     div_lo, div_hi = (quot if num > 0 else -quot for num, quot in divisions)
     div_shift = shift - 64
     assert (div_lo << div_shift) * n <= total <= (div_hi << div_shift) * n
+
+
+# cells whose exact counts are cheap, most of them past the cutoff. A power
+# of 4, 8 or 32 is a power of two, which a bracket can hold with lo = hi;
+# without the slack such a bracket misses I_q(n) (q^n - |G| < q^n) and |G|
+# at every n with two distinct primes (|G| > q^(n/r)). bit_length(q)
+# overstates log2 q there, so the guard refuses the real bracket of |G| at
+# q = 4, and at q = 8 when r = 3. 2128240847 is the benchmark prime; at
+# n = 1843 = 19 * 97 its |G|, 3,007 bits, is the largest on the figure grid
+# that the guard would refuse, and it stays under the cutoff
+ENCLOSURE_CELLS = [
+    *((4, n) for n in (1024, 1025, 2048, 3003)),
+    *((8, n) for n in (1536, 1800, 2310, 3072, 4095)),
+    *((32, n) for n in (1539, 1545, 2310, 3003)),
+    *((2128240847, n) for n in (100, 101, 200, 210, 256, 300, 330, 1843, 1919)),
+]
+
+
+def _count_times_divisor(q, n, irreducible):
+    g = count_subfield_elements(q, n)
+    return q ** n - g if irreducible else g
+
+
+@pytest.mark.parametrize("irreducible", [False, True])
+def test_count_bracket_holds_the_exact_count(irreducible):
+    # lo 2^s <= count * divisor <= hi 2^s, with divisor n for I_q(n) and 1
+    # for |G|, on every cell that takes the bracket; on the power-of-two
+    # cells only the slack of one unit at each end makes it hold
+    bracketed = []
+    for q, n in ENCLOSURE_CELLS:
+        bracket = ntheory._count_bracket(q, n, irreducible)
+        if bracket is not None:
+            lo, hi, s = bracket
+            assert lo << s <= _count_times_divisor(q, n, irreducible) <= hi << s, (q, n)
+            bracketed.append((q, n))
+    if irreducible:
+        assert bracketed == ENCLOSURE_CELLS
+    else:
+        assert bracketed == [
+            *((8, n) for n in (1536, 1800, 2310, 3072)),
+            *((32, n) for n in (1539, 1545, 2310, 3003)),
+            *((2128240847, n) for n in (200, 210, 256, 300, 330, 1919)),
+        ]
+
+
+@pytest.mark.parametrize("irreducible", [False, True])
+def test_count_bracket_guard_admits_exactly_one_unit_of_slack(monkeypatch, irreducible):
+    # with q^(n/r) held between its floor and ceiling at shift s (exactly,
+    # on the power-of-two cells), the rest of the count is below q^(f + 1)
+    # <= 2^((f + 1) bits), f = n // (r + 1): the guard must take the bracket
+    # from s = (f + 1) bits on, where it holds the count, and refuse it one
+    # bit below
+    def tight_power_bracket(q, e):
+        power = q ** e
+        return power >> shift, -(-power >> shift), shift
+
+    monkeypatch.setattr(ntheory, "_power_bracket", tight_power_bracket)
+    for q, n in ENCLOSURE_CELLS:
+        r = 1 if irreducible else next(ntheory._prime_factors(n))
+        if n // r * q.bit_length() < ntheory._EXACT_BELOW_BITS:
+            continue
+        least = (n // (r + 1) + 1) * q.bit_length()
+        shift = least - 1
+        assert ntheory._count_bracket(q, n, irreducible) is None, (q, n)
+        shift = least
+        lo, hi, s = ntheory._count_bracket(q, n, irreducible)
+        assert s == least
+        assert lo << s <= _count_times_divisor(q, n, irreducible) <= hi << s, (q, n)
 
 
 def test_upper_bound_counts_exactly_only_under_the_cutoff(monkeypatch):
