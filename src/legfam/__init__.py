@@ -13,7 +13,6 @@ from .bounds import (
     crossover_prime,
     guaranteed_j,
     gyarmati_bound,
-    lemma4_closed_form,
     make_report,
     theorem1_bound,
     upper_bound,
@@ -61,7 +60,6 @@ __all__ = [
     "is_prime",
     "is_prime_power",
     "legendre_symbol",
-    "lemma4_closed_form",
     "log2_of_big",
     "make_report",
     "primes_up_to",

@@ -33,7 +33,6 @@ __all__ = [
     "compute_A_B",
     "theorem1_bound",
     "guaranteed_j",
-    "lemma4_closed_form",
     "gyarmati_bound",
     "upper_bound",
     "crossover_prime",
@@ -125,8 +124,11 @@ def theorem1_bound(p: int, k: int, *, a_b: tuple[float, float] | None = None) ->
 
 
 def _root_log2(log2_a: float, b: float) -> float:
-    # log2 of the root of B*x + x*log2(x) = A, via
-    # x = A ln2 / W(2^B A ln2); see lemma4_closed_form.
+    # log2 of the unique positive root of B*x + x*log2(x) = A (Lemma 4).
+    # Substituting u = 2^B * x turns it into u*log2(u) = 2^B * A, i.e.
+    # (ln u) e^(ln u) = 2^B * A * ln2, so ln u = W(2^B A ln2) and
+    # x = A ln2 / W(2^B A ln2). The ln2 factors matter: the equation is in
+    # log base 2 while W inverts the natural-log form
     log2_arg = b + log2_a + _LOG2_LN2
     return log2_a + _LOG2_LN2 - math.log2(_w_of_pow2(log2_arg))
 
@@ -151,25 +153,6 @@ def guaranteed_j(p: int, k: int, *, a_b: tuple[float, float] | None = None) -> i
     else:
         j = math.ceil(root_log2) - 1
     return max(0, min(p, j))
-
-
-def _require_lemma4_inputs(A: float, B: float) -> None:
-    if not (math.isfinite(A) and A > 0.0):
-        raise ValueError(f"A must be positive and finite, got {A}")
-    if not math.isfinite(B):
-        raise ValueError(f"B must be finite, got {B}")
-
-
-def lemma4_closed_form(A: float, B: float) -> float:
-    """The unique positive root of B*x + x*log2(x) = A, for A > 0.
-
-    Substituting u = 2^B * x turns the equation into u*log2(u) = 2^B * A,
-    i.e. (ln u) e^(ln u) = 2^B * A * ln2, so ln u = W(2^B A ln2) and
-    x = A ln2 / W(2^B A ln2). The ln2 factors matter: the equation is in
-    log base 2 while W inverts the natural-log form.
-    """
-    _require_lemma4_inputs(A, B)
-    return 2.0 ** _root_log2(math.log2(A), B)
 
 
 def _gyarmati(n: int, k: int) -> tuple[float, float]:

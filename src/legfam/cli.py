@@ -234,6 +234,9 @@ def _levels_json(levels: tuple[tuple[int, int], ...]) -> list[dict[str, int]]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    for flag, value in (("--j-cap", args.j_cap), ("--budget", args.budget)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     family = build_family(args.p, args.k)
     t0 = time.perf_counter_ns()
     try:
@@ -293,9 +296,12 @@ def _parse_complex(text: str) -> complex:
     if len(parts) != 2:
         raise UsageError(f"--complex expects 'RE,IM', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        real, imag = map(float, parts)
     except ValueError as exc:
         raise UsageError(f"--complex expects two floats, got {text!r}") from exc
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise ValueError(f"--complex must be finite, got {text!r}")
+    return complex(real, imag)
 
 
 def cmd_w(args: argparse.Namespace) -> int:

@@ -1,7 +1,7 @@
 """Integer-side helpers: primality and the odd-prime and degree gates of
-every entry point, divisors, the package's one factor pass for distinct
-primes, counts of monic irreducible polynomials over finite fields, and
-base-2 logarithms of integers far too large for floats.
+every entry point, the package's one factor pass for distinct primes and
+the divisors built from it, counts of monic irreducible polynomials over
+finite fields, and base-2 logarithms of integers far too large for floats.
 
 Everything is exact integer arithmetic except the floats that log2_of_big
 and _count_log2 return. _count_log2 is the one route to log2 |G| and
@@ -126,20 +126,18 @@ def primes_up_to(n: int, lo: int = 2) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
-    """Ascending list of the positive divisors of n."""
+    """Ascending list of the positive divisors of n, built from the primes
+    of _prime_factors(n) and their exponents, found by dividing each out."""
     if n < 1:
         raise ValueError(f"divisors needs a positive integer, got {n}")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+    divs = [1]
+    for r in _prime_factors(n):
+        powers = divs
+        while n % r == 0:
+            n //= r
+            powers = [d * r for d in powers]
+            divs = divs + powers
+    return sorted(divs)
 
 
 def is_prime_power(q: int) -> tuple[int, int] | None:

@@ -4,6 +4,8 @@ Everything here is deliberately dumb and slow: bisection instead of
 Halley, sieves and trial division instead of divisor-sum formulas,
 schoolbook arithmetic over explicit multiplication tables. The
 production code is checked against these, never the other way round.
+The one exception is lemma4_closed_form: the tests' entry to the Lemma 4
+root the package computes, which lemma4_bisection_root checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from legfam.bounds import _require_lemma4_inputs
+from legfam import bounds
 from legfam.gf import _mul, _pow
 
 
@@ -441,10 +443,27 @@ def satisfies_spec(family, positions, signs) -> bool:
     )
 
 
+def _require_lemma4_inputs(A: float, B: float) -> None:
+    if not (math.isfinite(A) and A > 0.0):
+        raise ValueError(f"A must be positive and finite, got {A}")
+    if not math.isfinite(B):
+        raise ValueError(f"B must be finite, got {B}")
+
+
+def lemma4_closed_form(A: float, B: float) -> float:
+    """The unique positive root of B*x + x*log2(x) = A, for A > 0 and
+    finite B, by the package's own route: 2 ** bounds._root_log2(log2 A, B),
+    the root whose log2 guaranteed_j certifies. Not independent; it is what
+    lemma4_bisection_root checks.
+    """
+    _require_lemma4_inputs(A, B)
+    return 2.0 ** bounds._root_log2(math.log2(A), B)
+
+
 def lemma4_bisection_root(A: float, B: float) -> float:
     """Root of B*x + x*log2(x) = A by pure bisection; no Lambert W anywhere.
 
-    The independent cross-check of bounds.lemma4_closed_form, with the
+    The independent cross-check of lemma4_closed_form above, with the
     same input checks. The lower end 2^(-B-2) always starts negative
     (there B + log2 x = -2 exactly), and g is increasing past its single
     minimum, so doubling the upper end is guaranteed to bracket.

@@ -15,7 +15,6 @@ from legfam.bounds import (
     crossover_prime,
     guaranteed_j,
     gyarmati_bound,
-    lemma4_closed_form,
     theorem1_bound,
     upper_bound,
 )
@@ -34,6 +33,7 @@ from legfam.ntheory import (
 import conftest
 from oracles import (
     lemma4_bisection_root,
+    lemma4_closed_form,
     satisfies_spec,
     sieve_irreducible_counts,
     weil_reduced_size,

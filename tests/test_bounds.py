@@ -11,7 +11,6 @@ from legfam.bounds import (
     crossover_prime,
     guaranteed_j,
     gyarmati_bound,
-    lemma4_closed_form,
     make_report,
     theorem1_bound,
     upper_bound,
@@ -23,7 +22,7 @@ from legfam.ntheory import (
     log2_of_big,
     primes_up_to,
 )
-from oracles import lemma4_bisection_root, w_bisect
+from oracles import lemma4_bisection_root, lemma4_closed_form, w_bisect
 
 
 def test_compute_A_B_known_cells():

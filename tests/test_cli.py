@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from legfam import bounds, checks, cli, gf, ntheory
+from legfam import checks, cli, gf, ntheory
 from legfam.bounds import BoundReport, make_report
 from legfam.cli import CSV_HEADER, main
 from legfam.errors import BudgetExceededError
@@ -79,6 +79,22 @@ def test_w_domain_error_exit_code(capsys):
 def test_w_non_finite_input_names_the_flag(capsys, flag, value):
     assert run_cli(capsys, "w", f"{flag}={value}") == (
         2, "", f"error: {flag} must be finite, got {value}\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["nan,0", "0,inf", "-inf,1", "1e309,0"])
+def test_w_complex_non_finite_part_names_the_flag(capsys, value):
+    assert run_cli(capsys, "w", f"--complex={value}") == (
+        2, "", f"error: --complex must be finite, got {value!r}\n"
+    )
+
+
+def test_w_complex_text_that_does_not_parse_is_a_usage_error(capsys):
+    assert run_cli(capsys, "w", "--complex=1,x") == (
+        1, "", "error: --complex expects two floats, got '1,x'\n"
+    )
+    assert run_cli(capsys, "w", "--complex=1,2,3") == (
+        1, "", "error: --complex expects 'RE,IM', got '1,2,3'\n"
     )
 
 
@@ -474,9 +490,20 @@ def test_oracle_budget_exit_code(capsys):
 def test_oracle_negative_budget_is_a_domain_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "--p", "3", "--k", "1", "--budget", "-5")
     assert code == 2
-    assert "cell_budget must be >= 0, got -5" in err
+    assert err == "error: --budget must be >= 0, got -5\n"
     code, _, _ = run_cli(capsys, "oracle", "--p", "3", "--k", "1", "--budget", "0")
     assert code == 3
+
+
+@pytest.mark.parametrize("flag", ["--j-cap", "--budget"])
+def test_oracle_negative_flag_is_refused_before_the_family_is_built(capsys, monkeypatch, flag):
+    def build_family(p, k):
+        raise AssertionError("family built before the flag check")
+
+    monkeypatch.setattr(cli, "build_family", build_family)
+    assert run_cli(capsys, "oracle", "--p", "13", "--k", "2", flag, "-1") == (
+        2, "", f"error: {flag} must be >= 0, got -1\n"
+    )
 
 
 def test_oracle_budget_refusal_reports_verified_levels(capsys, monkeypatch, family_13_2_flipped):
@@ -638,8 +665,7 @@ def _package_functions() -> set[tuple[str, int, str]]:
 
 def test_every_function_runs_on_some_subcommand(tmp_path, capsys):
     # no library-only code: every function of the package is entered by
-    # some subcommand, except the lemma 4 closed form that acceptance
-    # criterion 6 checks, and code that runs only on failure or for display
+    # some subcommand, except code that runs only on failure or for display
     package = str(Path(cli.__file__).parent)
     entered = set()
 
@@ -659,8 +685,6 @@ def test_every_function_runs_on_some_subcommand(tmp_path, capsys):
         assert code == (3 if "--budget" in argv else 0), argv
     capsys.readouterr()
     never_entered = (
-        bounds.lemma4_closed_form,
-        bounds._require_lemma4_inputs,
         checks.CheckReport.record,
         cli._Parser.error,
         gf.ExtField.__repr__,

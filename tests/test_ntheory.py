@@ -149,10 +149,20 @@ def test_prime_factors_of_large_inputs(n, primes):
     assert list(_prime_factors(n)) == primes
     # every listed r is prime and n is a product of their powers alone
     assert all(is_prime(r) for r in primes)
+    rest, count = n, 1
     for r in primes:
-        while n % r == 0:
-            n //= r
-    assert n == 1
+        e = 0
+        while rest % r == 0:
+            rest //= r
+            e += 1
+        count *= e + 1
+    assert rest == 1
+    # divisors, built from this factor pass: strictly ascending, each one
+    # divides n, and there are prod(e + 1) of them over n's exponents e
+    ds = divisors(n)
+    assert all(a < b for a, b in zip(ds, ds[1:]))
+    assert all(n % d == 0 for d in ds)
+    assert len(ds) == count
 
 
 def test_is_prime_power_stops_at_the_least_prime():
