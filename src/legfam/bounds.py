@@ -21,10 +21,9 @@ from .errors import BudgetExceededError
 from .lambertw import w0_from_log, w0_real
 from .ntheory import (
     PRIMALITY_LIMIT,
-    _irreducible_log2,
+    _count_log2,
     _require_cell,
     _require_degree,
-    _subfield_log2,
     is_prime,
 )
 
@@ -81,7 +80,7 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     only log2|G|, and it must be the log2_of_big of the exact |G|: for even
     k the two leading terms of B cancel to relative size p^{-k/6}, so a
     float divisor sum would lose every significant digit. ntheory's
-    _subfield_log2 gives that float bit for bit. Past 3,072 bits in |G|'s
+    _count_log2 gives that float bit for bit. Past 3,072 bits in |G|'s
     largest term it brackets that power alone, one unit wider at each end
     for the rest of |G|, and reads the float off the bracket only when both
     ends share their bit length and top 64 bits, so |G| itself does too;
@@ -95,7 +94,7 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     half_log2 = 0.5 * k * math.log2(p)
     inv = 2.0 ** (-half_log2)  # p^{-k/2}; harmless underflow to 0 for huge p^k
     log2_a = 1.0 + half_log2 + math.log1p(-inv) / _LN2 - math.log1p(inv) / _LN2
-    r = 2.0 ** (_subfield_log2(p, k) - half_log2)
+    r = 2.0 ** (_count_log2(p, k, irreducible=False) - half_log2)
     b = (2.0 * r - 2.0) / (1.0 + inv)
     return log2_a, b
 
@@ -179,13 +178,13 @@ def upper_bound(p: int, k: int) -> float:
 
     The family has I_p(k) = (p^k - |G|)/k members, and this is
     log2_of_big(count_irreducibles(p, k)) bit for bit. Past 3,072 bits in
-    p^k, ntheory's _irreducible_log2 brackets p^k alone, one unit wider at
+    p^k, ntheory's _count_log2 brackets p^k alone, one unit wider at
     each end for |G|, divided by k, and reads the float when both ends share
     their bit length and top 64 bits, so neither p^k nor |G| is built; it
     counts I_p(k) exactly below that size or when the bracket fails.
     """
     _require_cell(p, k)
-    return _irreducible_log2(p, k)
+    return _count_log2(p, k, irreducible=True)
 
 
 def crossover_prime(k: int, p_limit: int = 2 ** 32) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import guaranteed_j, gyarmati_bound, upper_bound
 from .fcomplexity import family_complexity
-from .gf import _SIEVE_BLOCK, ExtField, _frobenius, _ids, _irreducible_mask, norm, quad_char
+from .gf import ExtField, _frobenius, _ids, _irreducible_mask, norm, quad_char
 from .legendre_seq import build_family, legendre_symbol
 from .ntheory import (
     count_irreducibles,
@@ -76,15 +76,6 @@ def small_fields(size_limit: int) -> list[tuple[int, int]]:
             cells.append((p, k))
             k += 1
     return cells
-
-
-def _element_blocks(fld: ExtField) -> Iterator[tuple[int, np.ndarray]]:
-    """(first id, rows) over the field's element array, in blocks small
-    enough that a product's temporaries hold at most _SIEVE_BLOCK entries."""
-    elements = fld.elements()
-    step = _SIEVE_BLOCK // (2 * fld.k - 1)
-    for lo in range(0, fld.size, step):
-        yield lo, elements[lo : lo + step]
 
 
 def _weil_limit(j: int, n: int) -> int:
@@ -236,14 +227,13 @@ def check_gauss() -> CheckReport:
         fld = ExtField(p, m)
         frob = _frobenius(fld)
         proper = [t for t in divisors(m) if t < m]
-        brute = 0
-        for _, a in _element_blocks(fld):
-            conj, fixed = a, np.zeros(len(a), dtype=bool)
-            for t in range(1, proper[-1] + 1):
-                conj = conj @ frob % p  # alpha^(p^t)
-                if t in proper:
-                    fixed |= (conj == a).all(axis=1)
-            brute += np.count_nonzero(fixed)
+        a = fld.elements()
+        conj, fixed = a, np.zeros(fld.size, dtype=bool)
+        for t in range(1, proper[-1] + 1):
+            conj = conj @ frob % p  # alpha^(p^t)
+            if t in proper:
+                fixed |= (conj == a).all(axis=1)
+        brute = np.count_nonzero(fixed)
         expected = count_subfield_elements(p, m)
         if brute != expected:
             rep.record(f"subfield count over F_{p}^{m}: brute {brute} != {expected}")
@@ -275,13 +265,11 @@ def check_corollary1() -> CheckReport:
         if k == 1:
             continue
         fld = ExtField(p, k)
-        chi = fld.char_table()
-        for lo, a in _element_blocks(fld):
-            want = chi[lo : lo + len(a)]
-            bad = (quad_char(fld, a) != want) | (legendre[p][norm(fld, a)] != want)
-            rep.checked += len(a)
-            for ident in lo + np.flatnonzero(bad):
-                rep.record(f"({p},{k}): chi, quad_char and Legendre(norm) disagree at id {ident}")
+        chi, a = fld.char_table(), fld.elements()
+        bad = (quad_char(fld, a) != chi) | (legendre[p][norm(fld, a)] != chi)
+        rep.checked += fld.size
+        for ident in np.flatnonzero(bad):
+            rep.record(f"({p},{k}): chi, quad_char and Legendre(norm) disagree at id {ident}")
     return rep
 
 

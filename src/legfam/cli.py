@@ -154,6 +154,7 @@ def _grid_cells(args: argparse.Namespace) -> tuple[list[tuple[int, int]], str]:
         lo = max(3, args.p_min or 3)
         if args.p_max < lo:
             raise UsageError(f"--p-max must be >= {lo}")
+        _require_degree(args.k)
         _require_budget("the p window", args.p_max - lo + 1, "values")
         cells = [(q, args.k) for q in primes_up_to(args.p_max, lo)]
         if cells:
@@ -257,17 +258,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             )
         raise
     elapsed = time.perf_counter_ns() - t0
+    pos, signs = res.witness_failure or (None, None)
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "gamma": res.gamma,
-                    "witness_positions": None
-                    if res.witness_failure is None
-                    else list(res.witness_failure[0]),
-                    "witness_signs": None
-                    if res.witness_failure is None
-                    else list(res.witness_failure[1]),
+                    "witness_positions": pos,
+                    "witness_signs": signs,
                     "cells_examined": res.cells_examined,
                     "levels": _levels_json(res.levels),
                     "reduction": res.reduction,
@@ -277,10 +275,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     print(f"gamma = {res.gamma}")
-    if res.witness_failure is None:
+    if pos is None:
         print("witness = none (every level up to the cap is realized)")
     else:
-        pos, signs = res.witness_failure
         print(f"witness_positions = {','.join(map(str, pos))}")
         print(f"witness_signs = {','.join(f'{s:+d}' for s in signs)}")
     print(f"cells_examined = {res.cells_examined}")

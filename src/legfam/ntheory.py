@@ -227,16 +227,6 @@ _BRACKET_BITS = 128
 _EXACT_BELOW_BITS = 3072
 
 
-def _subfield_log2(q: int, n: int) -> float:
-    """_count_log2 of |G|: log2_of_big(count_subfield_elements(q, n)), -inf at n = 1."""
-    return _count_log2(q, n, irreducible=False)
-
-
-def _irreducible_log2(q: int, n: int) -> float:
-    """_count_log2 of I_q(n): log2_of_big(count_irreducibles(q, n)) bit for bit."""
-    return _count_log2(q, n, irreducible=True)
-
-
 def _count_log2(q: int, n: int, irreducible: bool) -> float:
     """log2_of_big of I_q(n) = (q^n - |G|) / n when irreducible, else of
     |G| (-inf at n = 1, where |G| = 0), without building a large count.

@@ -235,11 +235,19 @@ def test_scan_usage_errors(capsys):
 
 
 def test_scan_degree_below_one_is_a_domain_error(capsys):
-    # a k below 1 exits 2 whether it is fixed or the start of a k range
-    for grid in (("--k", "0", "--p-max", "20"), ("--p", "7", "--k-min", "0", "--k-max", "3")):
+    # a k below 1 exits 2 whether it is fixed or the start of a k range,
+    # and also over a p window that holds no prime
+    for grid in (
+        ("--k", "0", "--p-max", "20"),
+        ("--p", "7", "--k-min", "0", "--k-max", "3"),
+        ("--k", "0", "--p-min", "8", "--p-max", "10"),
+    ):
         code, out, err = run_cli(capsys, "scan", *grid)
         assert (code, out) == (2, ""), grid
         assert "k must be >= 1, got 0" in err, grid
+    code, out, err = run_cli(capsys, "bench", "--k", "0", "--p-min", "8", "--p-max", "10")
+    assert (code, out) == (2, "")
+    assert "k must be >= 1, got 0" in err
     # an empty k range stays a usage error
     code, _, err = run_cli(capsys, "scan", "--p", "7", "--k-min", "3", "--k-max", "2")
     assert code == 1

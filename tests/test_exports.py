@@ -1,10 +1,12 @@
 """Every exported name resolves, so `from legfam import *` and tools that
-walk the modules' __all__ keep working after a name is deleted; and every
-size refusal in the package goes through the one budget gate."""
+walk the modules' __all__ keep working after a name is deleted; every
+size refusal in the package goes through the one budget gate; and no
+module imports another one's private constant."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -106,3 +108,33 @@ def _check_grid_budget(what, length):
         "line 3: _check_grid_budget compares against DEFAULT_ENUM_BUDGET",
         "line 4: _check_grid_budget raises BudgetExceededError",
     ]
+
+
+# a private constant such as a block size belongs to the module that
+# defines it; a second module importing it sizes its own work by the
+# first one's setting
+PRIVATE_CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
+
+
+def _private_constant_imports(source: str) -> list[str]:
+    return [
+        f"line {node.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if PRIVATE_CONSTANT.fullmatch(alias.name)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_constant(path):
+    assert _private_constant_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_constant_guard_flags_an_import():
+    # a block size read from another module, as checks once did
+    source = """
+from .gf import _SIEVE_BLOCK, ExtField, _frobenius
+from .ntheory import PRIMALITY_LIMIT
+"""
+    assert _private_constant_imports(source) == ["line 2: _SIEVE_BLOCK from .gf"]

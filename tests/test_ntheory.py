@@ -324,8 +324,8 @@ def test_subfield_log2_is_log2_of_big_of_the_exact_count():
     assert len(SUBFIELD_GRID) == 7824
     assert sum(_bracketed(q, n) for q, n in SUBFIELD_GRID) > 1000
     for q, n in SUBFIELD_GRID:
-        assert ntheory._subfield_log2(q, n) == _exact_subfield_log2(q, n), (q, n)
-    assert ntheory._subfield_log2(3, 1) == -math.inf
+        assert ntheory._count_log2(q, n, irreducible=False) == _exact_subfield_log2(q, n), (q, n)
+    assert ntheory._count_log2(3, 1, irreducible=False) == -math.inf
 
 
 @pytest.mark.parametrize("width", [66, 72])
@@ -345,7 +345,7 @@ def test_subfield_log2_falls_back_to_the_exact_count(monkeypatch, width):
 
     monkeypatch.setattr(ntheory, "_BRACKET_BITS", width)
     monkeypatch.setattr(ntheory, "_subfield_count", recording_count)
-    assert [ntheory._subfield_log2(q, n) for q, n in cells] == want
+    assert [ntheory._count_log2(q, n, irreducible=False) for q, n in cells] == want
     if width == 66:
         assert fallbacks == [(q, ntheory._subfield_terms(n)) for q, n in cells]
     else:
@@ -381,7 +381,7 @@ def test_irreducible_log2_falls_back_to_the_exact_count(monkeypatch, width):
 
     monkeypatch.setattr(ntheory, "_BRACKET_BITS", width)
     monkeypatch.setattr(ntheory, "count_irreducibles", recording_count)
-    assert [ntheory._irreducible_log2(q, n) for q, n in cells] == want
+    assert [ntheory._count_log2(q, n, irreducible=True) for q, n in cells] == want
     if width == 66:
         assert fallbacks == cells
     else:
