@@ -3,9 +3,9 @@ families, and the crossover search for where the older bound turns positive.
 
 The driving quantity A = (2 p^{k/2} - 2)/(1 + p^{-k/2}) overflows floats
 already for moderate p^k, so it is carried as the plain float log2(A)
-(compute_A_B, BoundReport.a_log2) and the Lambert W evaluations switch to
-the log-domain solver w0_from_log once the W argument itself cannot be
-materialized.
+(compute_A_B, BoundReport.a_log2). Every Lambert W evaluation hands the
+natural log of its argument to w0_from_log, which picks the solver itself,
+so the argument is never materialized here.
 
 Everything here is a pure function of (p, k); only the timing fields of
 BoundReport depend on the machine.
@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .lambertw import w0_from_log, w0_real
+from .lambertw import w0_from_log
 from .ntheory import (
     PRIMALITY_LIMIT,
     _count_log2,
@@ -99,12 +99,9 @@ def compute_A_B(p: int, k: int) -> tuple[float, float]:
     return log2_a, b
 
 
-def _w_of_pow2(log2_arg: float) -> float:
-    # W(2^log2_arg) without materializing the argument when it is huge.
-    ell = _LN2 * log2_arg
-    if ell >= 1.0:
-        return w0_from_log(ell).value
-    return w0_real(2.0 ** log2_arg).value
+def _log2_x_over_w(log2_x: float, b: float) -> float:
+    # log2(x / W(2^b x)), with W read off ln(2^b x) so 2^b x is never built
+    return log2_x - math.log2(w0_from_log(_LN2 * (b + log2_x)).value)
 
 
 def theorem1_bound(p: int, k: int, *, a_b: tuple[float, float] | None = None) -> float:
@@ -119,7 +116,7 @@ def theorem1_bound(p: int, k: int, *, a_b: tuple[float, float] | None = None) ->
     """
     _require_cell(p, k)
     log2_a, b = compute_A_B(p, k) if a_b is None else a_b
-    return log2_a - math.log2(_w_of_pow2(b + log2_a))
+    return _log2_x_over_w(log2_a, b)
 
 
 def _root_log2(log2_a: float, b: float) -> float:
@@ -127,9 +124,9 @@ def _root_log2(log2_a: float, b: float) -> float:
     # Substituting u = 2^B * x turns it into u*log2(u) = 2^B * A, i.e.
     # (ln u) e^(ln u) = 2^B * A * ln2, so ln u = W(2^B A ln2) and
     # x = A ln2 / W(2^B A ln2). The ln2 factors matter: the equation is in
-    # log base 2 while W inverts the natural-log form
-    log2_arg = b + log2_a + _LOG2_LN2
-    return log2_a + _LOG2_LN2 - math.log2(_w_of_pow2(log2_arg))
+    # log base 2 while W inverts the natural-log form. This is
+    # theorem1_bound's map x / W(2^B x), taken at x = A ln2 instead of A
+    return _log2_x_over_w(log2_a + _LOG2_LN2, b)
 
 
 def guaranteed_j(p: int, k: int, *, a_b: tuple[float, float] | None = None) -> int:

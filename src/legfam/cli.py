@@ -308,9 +308,7 @@ def cmd_w(args: argparse.Namespace) -> int:
     if args.x is not None:
         print(_fmt(w0_real(args.x).value))
     elif args.log_x is not None:
-        # w0_from_log takes L >= 1; below that e^L < e is a plain float
-        w = w0_real(math.exp(args.log_x)) if args.log_x < 1.0 else w0_from_log(args.log_x)
-        print(_fmt(w.value))
+        print(_fmt(w0_from_log(args.log_x).value))
     else:
         value = w0_complex(_parse_complex(args.comp)).value
         sign = "+" if value.imag >= 0 else "-"

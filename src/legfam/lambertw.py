@@ -6,6 +6,9 @@ w + ln(w) = L, which is the form the bound computations need once the
 argument itself would overflow a float (it does so routinely: arguments
 of size 2^(p^k/2) appear for modest p and k).
 
+Both route thresholds live here alone: w0_from_log hands L < 1 to
+w0_real(e^L), and w0_real hands x > float_info.max / 8 to w0_from_log(ln x).
+
 Non-convergence raises ConvergenceError rather than returning a value
 with an unknown error.
 """
@@ -78,7 +81,8 @@ def w0_real(x: float) -> WResult:
     The residual |w e^w - x| is checked against 1e-12 * max(1, |x|) before
     returning; x below the branch point is a domain error. Past
     float_info.max / 8 (about 2.2e307) the root is found in the log
-    domain, by w0_from_log(ln x), and the residual is its |w + ln w - ln x|.
+    domain, by w0_from_log(ln x) (which sends ln x < 1 back here), and the
+    residual is its |w + ln w - ln x|.
     """
     if not math.isfinite(x):
         raise ValueError(f"w0_real needs a finite argument, got {x}")
@@ -100,20 +104,20 @@ def w0_real(x: float) -> WResult:
 
 
 def w0_from_log(log_x: float) -> WResult:
-    """Solve w + ln(w) = log_x for w > 0, i.e. W(x) given only ln(x).
+    """W(x) given only ln(x) = log_x, for any finite log_x.
 
-    Requires log_x >= 1 (so the root is >= 1 and the equation is smooth);
-    for smaller arguments materialize x and call w0_real instead. Newton
-    from the asymptotic start converges in a handful of steps. Past w = 2
-    the step tolerance is below one ulp; when the steps bounce between two
-    adjacent floats, the loop stops on the one step _MAX_ITER would hold.
+    Below log_x = 1 the argument e^log_x < e is a plain float, and the
+    result is w0_real(math.exp(log_x)), its WResult unchanged. From 1 on
+    (where the root is >= 1 and the equation is smooth) it solves
+    w + ln(w) = log_x for w > 0: Newton from the asymptotic start
+    converges in a handful of steps. Past w = 2 the step tolerance is below
+    one ulp; when the steps bounce between two adjacent floats, the loop
+    stops on the one step _MAX_ITER would hold.
     """
     if not math.isfinite(log_x):
         raise ValueError(f"w0_from_log needs a finite argument, got {log_x}")
     if log_x < 1.0:
-        raise ValueError(
-            f"w0_from_log requires log_x >= 1, got {log_x}; use w0_real on exp(log_x)"
-        )
+        return w0_real(math.exp(log_x))
     w = log_x - math.log(log_x) if log_x > 1.0 else 1.0
     if w < 1.0:
         w = 1.0

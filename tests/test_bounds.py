@@ -103,6 +103,48 @@ def test_guaranteed_j_frozen_values():
         assert guaranteed_j(p, k) == j, (p, k)
 
 
+# (p, k, theorem1_bound, guaranteed_j) exactly as printed by repr, on every
+# cell whose Lemma 4 W argument 2^B A ln2 is below e, so that W is solved
+# from a materialized e^L rather than in the log domain: k = 1 for p = 3..73
+# and (3, 2). From p = 41 on theorem1_bound's own argument is e or more
+_SMALL_W_CELLS = [
+    (3, 1, 1.6845480854313046, 1),
+    (5, 1, 1.9986479932487877, 1),
+    (7, 1, 2.200935859510797, 2),
+    (11, 1, 2.4661362794751147, 2),
+    (13, 1, 2.5622487504125715, 2),
+    (17, 1, 2.7145260743489907, 2),
+    (19, 1, 2.7769482672653174, 2),
+    (23, 1, 2.883252127075575, 2),
+    (29, 1, 3.010767727250161, 2),
+    (31, 1, 3.047179000397855, 2),
+    (37, 1, 3.143224386400361, 2),
+    (41, 1, 3.198603550152436, 2),
+    (43, 1, 3.224216680130454, 2),
+    (47, 1, 3.2719196100702113, 3),
+    (53, 1, 3.3360979081878672, 3),
+    (59, 1, 3.3931553312059326, 3),
+    (61, 1, 3.410849607211355, 3),
+    (67, 1, 3.4605470694174736, 3),
+    (71, 1, 3.4911940766613747, 3),
+    (73, 1, 3.505857957434627, 3),
+    (3, 2, 1.514698356149832, 1),
+]
+
+
+def test_small_w_argument_cells_are_pinned_exactly():
+    assert [(p, k) for p, k, _, _ in _SMALL_W_CELLS] == [
+        (p, 1) for p in primes_up_to(73, 3)] + [(3, 2)]
+    for p, k, bound, j in _SMALL_W_CELLS:
+        log2_a, b = compute_A_B(p, k)
+        assert 2.0 ** (b + log2_a) * math.log(2.0) < math.e, (p, k)
+        assert theorem1_bound(p, k) == bound, (p, k)
+        assert guaranteed_j(p, k) == j, (p, k)
+    # the next cell's root argument is past e
+    log2_a, b = compute_A_B(79, 1)
+    assert 2.0 ** (b + log2_a) * math.log(2.0) >= math.e
+
+
 def test_guaranteed_j_is_clamped_and_integral():
     for p, k in ((3, 1), (3, 50), (101, 1), (2128240847, 3)):
         j = guaranteed_j(p, k)

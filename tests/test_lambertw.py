@@ -94,12 +94,14 @@ def test_w_from_log_huge_arguments():
 
 
 def test_w_from_log_domain_errors():
-    with pytest.raises(ValueError):
-        w0_from_log(0.99)
-    with pytest.raises(ValueError):
-        w0_from_log(-5.0)
-    with pytest.raises(ValueError):
-        w0_from_log(math.inf)
+    # below L = 1 the answer is W(e^L) from w0_real, WResult and all; only
+    # a non-finite L is outside the domain
+    for log_x in (0.99, -5.0, -1e3, 0.9999999999999999):
+        res, want = w0_from_log(log_x), w0_real(math.exp(log_x))
+        assert res == want and res.value.hex() == want.value.hex(), log_x
+    for log_x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            w0_from_log(log_x)
 
 
 def _w_from_log_old_loop(log_x):
@@ -117,10 +119,11 @@ def _w_from_log_old_loop(log_x):
 
 
 def test_w_from_log_stops_on_a_two_cycle_with_the_old_value(monkeypatch):
-    # every log-domain solve of make_report on the benchmark grids (k =
-    # 1..2000 at the bounds-k primes, k = 1 and 10 at every odd prime below
-    # 8000), then 10^5 random L: the value is the old loop's bit for bit,
-    # and no grid solve runs all 80 steps, though the old loop did on some
+    # every W solve of make_report on the benchmark grids (k = 1..2000 at
+    # the bounds-k primes, k = 1 and 10 at every odd prime below 8000), then
+    # 10^5 random L: from L = 1 on the value is the old loop's bit for bit,
+    # and no grid solve runs all 80 steps, though the old loop did on some.
+    # The small cells' solves with L < 1 must be w0_real(e^L) exactly
     seen = []
 
     def recording(log_x):
@@ -135,13 +138,17 @@ def test_w_from_log_stops_on_a_two_cycle_with_the_old_value(monkeypatch):
     for p in primes_up_to(7999, 3):
         for k in (1, 10):
             bounds.make_report(p, k)
-    old_full_runs = 0
+    old_full_runs = below_one = 0
     for log_x, res in seen:
+        assert res.iterations < 80, log_x
+        if log_x < 1.0:
+            assert res == w0_real(math.exp(log_x)), log_x
+            below_one += 1
+            continue
         value, steps = _w_from_log_old_loop(log_x)
         assert res.value == value, log_x
-        assert res.iterations < 80, log_x
         old_full_runs += steps == 80
-    assert len(seen) > 16000 and old_full_runs > 50
+    assert len(seen) > 16000 and old_full_runs > 50 and below_one == 31
     rng = random.Random(2026)
     for i in range(100_000):
         log_x = 10.0 ** rng.uniform(0.0, 308.0) if i % 2 else rng.uniform(1.0, 60.0)
