@@ -56,14 +56,16 @@ def _fmt(x: int | float) -> str:
     return f"{x:.15g}" if isinstance(x, float) else str(x)
 
 
-# the CSV row is BoundReport minus the two inputs of the W solve
-_CSV_COLUMNS = tuple(f.name for f in fields(BoundReport) if f.name not in ("a_log2", "b"))
-CSV_HEADER = ",".join(_CSV_COLUMNS)
-_csv_values = attrgetter(*_CSV_COLUMNS)
+# the CSV row is BoundReport minus the two inputs of the W solve, formatted
+# by one str.format call that applies _fmt's contract by each field's type
+_CSV_FIELDS = [f for f in fields(BoundReport) if f.name not in ("a_log2", "b")]
+CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
+_csv_values = attrgetter(*(f.name for f in _CSV_FIELDS))
+_CSV_FORMAT = ",".join("{:.15g}" if f.type == "float" else "{}" for f in _CSV_FIELDS)
 
 
 def _csv_row(rep: BoundReport) -> str:
-    return ",".join(map(_fmt, _csv_values(rep)))
+    return _CSV_FORMAT.format(*_csv_values(rep))
 
 
 @contextlib.contextmanager

@@ -8,7 +8,9 @@ and _count_log2 return. _count_log2 is the one route to log2 |G| and
 log2 I_q(n), bit for bit the log2_of_big of the count: past a size cutoff
 it brackets only the count's largest power, widened by one unit that an
 integer guard proves covers every other term, and reads the float off that
-bracket when it certifies one; otherwise it reads the exact count.
+bracket when it certifies one; otherwise it reads the exact count. The
+power's bracket walks only its low end, to 128 bits, and derives the high
+end from the number of truncating steps.
 """
 
 from __future__ import annotations
@@ -270,18 +272,28 @@ def _count_bracket(q: int, n: int, irreducible: bool) -> tuple[int, int, int] | 
 
 
 def _power_bracket(q: int, e: int) -> tuple[int, int, int]:
-    # (lo, hi, s) with lo * 2^s <= q^e <= hi * 2^s and hi <= 2^_BRACKET_BITS,
-    # left-to-right over the bits of e. Once a step truncates, s is
-    # bit_length(q^e) - _BRACKET_BITS give or take one
-    lo = hi = 1
-    s = 0
+    # (lo, hi, s) with lo * 2^s <= q^e <= hi * 2^s, left-to-right over the
+    # bits of e. Only the low end is walked, floored to B = _BRACKET_BITS
+    # bits: until the first cut lo = q^e exactly (hi = lo, s = 0); after it
+    # bit_length(lo) = B, so s is bit_length(q^e) - B or one less, and hi
+    # can pass 2^B. hi is derived from t, the number of truncating steps.
+    # Let g bound (q^e / 2^s) / lo, 1 before the first cut. A squaring
+    # squares g (the product with q keeps it), and a cut drops less than
+    # one unit from an lo >= 2^(B-1), multiplying g by at most
+    # 1 + 2^(1-B). Every step from the first cut on cuts, so after t steps
+    # g <= (1 + 2^(1-B))^(2^t - 1) <= exp(2^(t+1-B)) <= 1 + 2^(t+2-B), as
+    # e^x <= 1 + 2x on [0, 1]; so for t <= B - 2 (any e < 2^(B-2))
+    # q^e / 2^s <= lo + lo / 2^(B-2-t) < lo + (lo >> (B-2-t)) + 1 = hi
+    lo = 1
+    s = t = 0
     for bit in bin(e)[2:]:
-        lo, hi, s = lo * lo, hi * hi, 2 * s
+        lo, s = lo * lo, 2 * s
         if bit == "1":
-            lo, hi = lo * q, hi * q
-        cut = hi.bit_length() - _BRACKET_BITS
+            lo *= q
+        cut = lo.bit_length() - _BRACKET_BITS
         if cut > 0:
-            lo, hi, s = lo >> cut, -(-hi >> cut), s + cut
+            lo, s, t = lo >> cut, s + cut, t + 1
+    hi = lo + (lo >> (_BRACKET_BITS - 2 - t)) + 1 if t else lo
     return lo, hi, s
 
 

@@ -219,6 +219,33 @@ def test_scan_csv_values_formatted_15g(capsys):
     assert row[5] == "2.5"
 
 
+def test_csv_row_is_fmt_of_each_value_on_the_figure_grids(capsys, monkeypatch):
+    # _csv_row formats by each field's declared type, _fmt by each value's:
+    # they agree on every figure-grid row only if every value has its type
+    reports = []
+
+    def recording_make_report(p, k):
+        reports.append(make_report(p, k))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "make_report", recording_make_report)
+    for grid in (
+        ("--p", "2128240847", "--k-max", "2000"),
+        ("--k", "1", "--p-max", "8000"),
+        ("--k", "10", "--p-max", "8000"),
+    ):
+        code, _, _ = run_cli(capsys, "scan", *grid)
+        assert code == 0, grid
+    assert len(reports) == 2000 + 2 * 1006
+    columns = [f for f in fields(BoundReport) if f.name in CSV_HEADER.split(",")]
+    assert {f.type for f in columns} == {"int", "float"}
+    for rep in reports:
+        values = cli._csv_values(rep)
+        assert cli._csv_row(rep) == ",".join(map(cli._fmt, values)), (rep.p, rep.k)
+        for f, value in zip(columns, values):
+            assert type(value).__name__ == f.type, (rep.p, rep.k, f.name)
+
+
 def test_scan_deterministic_bound_columns(capsys):
     _, first, _ = run_cli(capsys, "scan", "--k", "1", "--p-max", "50")
     _, second, _ = run_cli(capsys, "scan", "--k", "1", "--p-max", "50")

@@ -328,12 +328,15 @@ def test_subfield_log2_is_log2_of_big_of_the_exact_count():
     assert ntheory._count_log2(3, 1, irreducible=False) == -math.inf
 
 
-@pytest.mark.parametrize("width", [66, 72])
+@pytest.mark.parametrize("width", [66, 71, 72])
 def test_subfield_log2_falls_back_to_the_exact_count(monkeypatch, width):
     # a bracket narrowed to a few bits past the 64 that log2_of_big reads
-    # must fail its certificate: at 66 bits the rounding of each squaring
-    # past the first cut spreads the two ends by more than 4 units, so on
-    # every cell; at 72 bits on some. Every answer must still be the exact one
+    # must fail its certificate, which needs its ends to agree above their
+    # low width - 64 bits. After t truncating steps _power_bracket derives
+    # its high end more than 2^(t+1) units above the low end, and t >= 6 on
+    # these cells at every width up to 72: so at 66 and 71 bits every cell
+    # falls back, and at 72, the narrowest width where any cell certifies,
+    # some do. Every answer must still be the exact one
     cells = [(q, n) for q, n in SUBFIELD_GRID if _bracketed(q, n)]
     want = [_exact_subfield_log2(q, n) for q, n in cells]
     fallbacks = []
@@ -346,7 +349,7 @@ def test_subfield_log2_falls_back_to_the_exact_count(monkeypatch, width):
     monkeypatch.setattr(ntheory, "_BRACKET_BITS", width)
     monkeypatch.setattr(ntheory, "_subfield_count", recording_count)
     assert [ntheory._count_log2(q, n, irreducible=False) for q, n in cells] == want
-    if width == 66:
+    if width < 72:
         assert fallbacks == [(q, ntheory._subfield_terms(n)) for q, n in cells]
     else:
         assert 0 < len(fallbacks) < len(cells)  # and the bracket held on the rest
@@ -366,10 +369,11 @@ def test_upper_bound_is_log2_of_big_of_the_exact_count():
         assert bounds.upper_bound(q, n) == want, (q, n)
 
 
-@pytest.mark.parametrize("width", [66, 72])
+@pytest.mark.parametrize("width", [66, 71, 72])
 def test_irreducible_log2_falls_back_to_the_exact_count(monkeypatch, width):
-    # as for |G|: at 66 bits the bracket of q^n - |G| fails its certificate
-    # on every cell, at 72 bits on some, and every answer is the exact one
+    # as for |G| (t >= 6 here too): at 66 and 71 bits the bracket of
+    # q^n - |G| fails its certificate on every cell, at 72 bits on some,
+    # and every answer is the exact one
     cells = [(q, n) for q, n in SUBFIELD_GRID if _bracketed_irreducibles(q, n)]
     want = [log2_of_big(count_irreducibles(q, n)) for q, n in cells]
     fallbacks = []
@@ -382,7 +386,7 @@ def test_irreducible_log2_falls_back_to_the_exact_count(monkeypatch, width):
     monkeypatch.setattr(ntheory, "_BRACKET_BITS", width)
     monkeypatch.setattr(ntheory, "count_irreducibles", recording_count)
     assert [ntheory._count_log2(q, n, irreducible=True) for q, n in cells] == want
-    if width == 66:
+    if width < 72:
         assert fallbacks == cells
     else:
         assert 0 < len(fallbacks) < len(cells)  # and the bracket held on the rest
@@ -435,10 +439,29 @@ def test_irreducible_log2_divides_the_bracket_outward(monkeypatch, tight_end):
     assert (div_lo << div_shift) * n <= total <= (div_hi << div_shift) * n
 
 
+@pytest.mark.parametrize("q", [3, 4, 8, 32, 7919, 2128240847])
+def test_power_bracket_holds_the_power(q):
+    # lo 2^s <= q^e <= hi 2^s at every e, with lo = hi = q^e and s = 0 until
+    # the first cut, then lo of exactly _BRACKET_BITS bits. The derived high
+    # end is 2^(t+1) to 2^(t+2) units above lo after t <= bit_length(e)
+    # truncating steps; on powers of two lo is exact, and on the other q
+    # the true power sits more than one unit above it at some e
+    width = ntheory._BRACKET_BITS
+    power = 1
+    for e in range(2501):
+        lo, hi, s = ntheory._power_bracket(q, e)
+        if power.bit_length() <= width:
+            assert (lo, hi, s) == (power, power, 0), e
+        else:
+            assert lo.bit_length() == width and 0 <= power.bit_length() - width - s <= 1, e
+            assert lo << s <= power <= hi << s, e
+            assert hi - lo <= 1 << (e.bit_length() + 2), e
+        power *= q
+
+
 # cells whose exact counts are cheap, most of them past the cutoff. A power
-# of 4, 8 or 32 is a power of two, which a bracket can hold with lo = hi;
-# without the slack such a bracket misses I_q(n) (q^n - |G| < q^n) and |G|
-# at every n with two distinct primes (|G| > q^(n/r)). bit_length(q)
+# of 4, 8 or 32 is a power of two, whose bracket's low end is exact; without
+# the slack that end misses I_q(n) (q^n - |G| < q^n). bit_length(q)
 # overstates log2 q there, so the guard refuses the real bracket of |G| at
 # q = 4, and at q = 8 when r = 3. 2128240847 is the benchmark prime; at
 # n = 1843 = 19 * 97 its |G|, 3,007 bits, is the largest on the figure grid
@@ -460,7 +483,7 @@ def _count_times_divisor(q, n, irreducible):
 def test_count_bracket_holds_the_exact_count(irreducible):
     # lo 2^s <= count * divisor <= hi 2^s, with divisor n for I_q(n) and 1
     # for |G|, on every cell that takes the bracket; on the power-of-two
-    # cells only the slack of one unit at each end makes it hold
+    # cells only the low end's slack of one unit makes it hold for I_q(n)
     bracketed = []
     for q, n in ENCLOSURE_CELLS:
         bracket = ntheory._count_bracket(q, n, irreducible)
