@@ -54,8 +54,7 @@ class BoundReport:
 
     t_new_ns times the row's one (A, B) evaluation plus the W solve of
     theorem1_bound; t_gyarmati_ns times gyarmati_bound. `bench` replaces
-    both with medians of repeated full theorem1_bound(p, k) and
-    gyarmati_bound(p, k) calls.
+    both with their medians over repeated make_report(p, k) rows.
     """
 
     p: int

@@ -25,13 +25,7 @@ from dataclasses import asdict, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterator
 
-from .bounds import (
-    BoundReport,
-    crossover_prime,
-    gyarmati_bound,
-    make_report,
-    theorem1_bound,
-)
+from .bounds import BoundReport, crossover_prime, make_report
 from .checks import SUITES, run_suite
 from .errors import BudgetExceededError
 from .fcomplexity import DEFAULT_CELL_BUDGET, ComplexityBudgetError, family_complexity
@@ -61,6 +55,7 @@ def _fmt(x: int | float) -> str:
 _CSV_FIELDS = [f for f in fields(BoundReport) if f.name not in ("a_log2", "b")]
 CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
 _csv_values = attrgetter(*(f.name for f in _CSV_FIELDS))
+_timings = attrgetter("t_new_ns", "t_gyarmati_ns")
 _CSV_FORMAT = ",".join("{:.15g}" if f.type == "float" else "{}" for f in _CSV_FIELDS)
 
 
@@ -197,27 +192,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _median_time_ns(fn, reps: int) -> int:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        fn()
-        times.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(times))
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 3 or args.reps % 2 == 0:
         raise UsageError(f"--reps must be an odd number >= 3, got {args.reps}")
     cells, ranged = _grid_cells(args)
+    _require_budget(f"--reps {args.reps} over {len(cells)} cells", args.reps * len(cells), "rows")
     with _open_out(args.out) as write:
         rows = []
         for p, k in cells:
-            theorem1_bound(p, k)  # warmup both code paths before timing
-            gyarmati_bound(p, k)
-            t_new = _median_time_ns(lambda: theorem1_bound(p, k), args.reps)
-            t_gy = _median_time_ns(lambda: gyarmati_bound(p, k), args.reps)
-            rows.append(replace(make_report(p, k), t_new_ns=t_new, t_gyarmati_ns=t_gy))
+            # the warm-up row, printed with the medians of --reps rows'
+            # timings; only their two timing ints are kept
+            row = make_report(p, k)
+            times = [_timings(make_report(p, k)) for _ in range(args.reps)]
+            t_new, t_gy = map(statistics.median, zip(*times))
+            rows.append(replace(row, t_new_ns=t_new, t_gyarmati_ns=t_gy))
         _emit_rows(rows, write)
     if args.gnuplot:
         _write_text(args.out + ".gp", _gnuplot_script(args.out, ranged, "times"))

@@ -258,13 +258,9 @@ def _pows(field: ExtField, a: np.ndarray, exps: Sequence[int]) -> list[np.ndarra
     return out
 
 
-def _pow(field: ExtField, a: np.ndarray, e: int) -> np.ndarray:
-    return _pows(field, a, [e])[0]
-
-
 def _frobenius(field: ExtField) -> np.ndarray:
     # a -> a^p is F_p-linear: the p-th powers of the basis x^i as rows
-    return _pow(field, np.eye(field.k, dtype=np.int64), field.p)
+    return _pows(field, np.eye(field.k, dtype=np.int64), [field.p])[0]
 
 
 def norm(field: ExtField, a: np.ndarray) -> np.ndarray:
@@ -289,7 +285,7 @@ def quad_char(field: ExtField, a: np.ndarray) -> np.ndarray:
 
     Euler's criterion a^((p^k - 1)/2), by square-and-multiply.
     """
-    c = _pow(field, a, (field.size - 1) // 2)
+    c = _pows(field, a, [(field.size - 1) // 2])[0]
     assert not c[:, 1:].any() and ((c[:, 0] <= 1) | (c[:, 0] == field.p - 1)).all(), (
         f"Euler's criterion in F_{field.p}^{field.k} gave a value other than 0, 1 or -1"
     )

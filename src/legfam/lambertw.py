@@ -1,13 +1,14 @@
 """Principal-branch Lambert W.
 
-w0_real and w0_complex solve w * exp(w) = x by Halley iteration with
-branch-appropriate starting guesses; w0_from_log solves the equivalent
-w + ln(w) = L, which is the form the bound computations need once the
-argument itself would overflow a float (it does so routinely: arguments
-of size 2^(p^k/2) appear for modest p and k).
-
-Both route thresholds live here alone: w0_from_log hands L < 1 to
-w0_real(e^L), and w0_real hands x > float_info.max / 8 to w0_from_log(ln x).
+Two loops, each over the math or cmath functions passed in, serve all
+three solvers: _halley solves w * exp(w) = x, and _newton_log the
+equivalent w + ln(w) = L, the form the bound computations need once the
+argument itself would overflow a float (arguments of size 2^(p^k/2)
+appear for modest p and k). w0_real, w0_from_log and w0_complex each pick
+a start, a route and a residual gate. The route thresholds live here
+alone: w0_from_log hands L < 1 to w0_real(e^L), and past _HALLEY_MAX =
+float_info.max / 8 in |x| both w0_real and w0_complex solve in the log
+domain.
 
 Non-convergence raises ConvergenceError rather than returning a value
 with an unknown error.
@@ -45,20 +46,39 @@ class WResult:
     iterations: int
 
 
-def _halley_real(x: float, w: float) -> tuple[float, int]:
-    # Halley's method on f(w) = w e^w - x; cubic convergence near the root.
+def _halley(x, w, exp):
+    # Halley's method on f(w) = w e^w - x (real or complex, by exp); cubic
+    # convergence near the root. Returns (w, steps taken)
     for it in range(1, _MAX_ITER + 1):
-        ew = math.exp(w)
+        ew = exp(w)
         f = w * ew - x
-        if f == 0.0:
+        if f == 0:
             return w, it
         wp1 = w + 1.0
         step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         w -= step
-        if w > 709.0:  # keep exp(w) finite; no real root lies beyond this
-            w = 709.0
+        # keep exp(w) from raising: no root below _HALLEY_MAX lies past 709,
+        # and an iterate sent there ends in inf or NaN, which the caller's
+        # residual gate refuses. w - w.real is the imaginary part (0.0 if real)
+        if w.real > 709.0:
+            w = 709.0 + (w - w.real)
         if abs(step) <= 1e-16 * (2.0 + abs(w)):
             return w, it
+    return w, _MAX_ITER
+
+
+def _newton_log(log_x, w, log):
+    # Newton's method on w + log(w) = log_x (real or complex, by log). Past
+    # |w| = 2 the step tolerance is below one ulp; when the steps bounce
+    # between two adjacent values, stop on the one step _MAX_ITER would hold
+    prev = prev2 = math.nan
+    for it in range(1, _MAX_ITER + 1):
+        step = (w + log(w) - log_x) * w / (w + 1.0)
+        prev2, prev, w = prev, w, w - step
+        if abs(step) <= 1e-16 * (2.0 + abs(w)):
+            return w, it
+        if w == prev2:  # a 2-cycle: step _MAX_ITER would end on w or on prev
+            return (prev if (_MAX_ITER - it) % 2 else w), it
     return w, _MAX_ITER
 
 
@@ -94,9 +114,9 @@ def w0_real(x: float) -> WResult:
         return WResult(0.0, 0.0, 0)
     if x > _HALLEY_MAX:
         return w0_from_log(math.log(x))
-    w, iterations = _halley_real(x, _initial_real(x))
+    w, iterations = _halley(x, _initial_real(x), math.exp)
     residual = abs(w * math.exp(w) - x)
-    if residual > _REAL_RESIDUAL * max(1.0, abs(x)):
+    if not residual <= _REAL_RESIDUAL * max(1.0, abs(x)):  # a NaN fails too
         raise ConvergenceError(
             f"w0_real({x!r}) stalled at w={w!r} with residual {residual:.3e}"
         )
@@ -110,33 +130,22 @@ def w0_from_log(log_x: float) -> WResult:
     result is w0_real(math.exp(log_x)), its WResult unchanged. From 1 on
     (where the root is >= 1 and the equation is smooth) it solves
     w + ln(w) = log_x for w > 0: Newton from the asymptotic start
-    converges in a handful of steps. Past w = 2 the step tolerance is below
-    one ulp; when the steps bounce between two adjacent floats, the loop
-    stops on the one step _MAX_ITER would hold.
+    converges in a handful of steps.
     """
     if not math.isfinite(log_x):
         raise ValueError(f"w0_from_log needs a finite argument, got {log_x}")
     if log_x < 1.0:
         return w0_real(math.exp(log_x))
-    w = log_x - math.log(log_x) if log_x > 1.0 else 1.0
-    if w < 1.0:
+    w = log_x - math.log(log_x)
+    if w < 1.0:  # L - ln L >= 1, but its rounding may not be
         w = 1.0
-    prev = prev2 = math.nan
-    for it in range(1, _MAX_ITER + 1):
-        step = (w + math.log(w) - log_x) * w / (w + 1.0)
-        prev2, prev, w = prev, w, w - step
-        if abs(step) <= 1e-16 * (2.0 + abs(w)):
-            break
-        if w == prev2:  # a 2-cycle: step _MAX_ITER would end on w or on prev
-            if (_MAX_ITER - it) % 2:
-                w = prev
-            break
+    w, iterations = _newton_log(log_x, w, math.log)
     residual = abs(w + math.log(w) - log_x)
-    if residual > _LOG_RESIDUAL * max(1.0, abs(log_x)):
+    if not residual <= _LOG_RESIDUAL * max(1.0, abs(log_x)):
         raise ConvergenceError(
             f"w0_from_log({log_x!r}) stalled at w={w!r} with residual {residual:.3e}"
         )
-    return WResult(w, residual, it)
+    return WResult(w, residual, iterations)
 
 
 def _initial_complex(z: complex) -> complex:
@@ -179,7 +188,9 @@ def w0_complex(z: complex) -> WResult:
     """W on the principal branch for complex z (z = -1/e excluded).
 
     On the cut (real z < -1/e) the value returned is the limit from the
-    upper half-plane. Residual bound: 1e-10 * max(1, |z|).
+    upper half-plane. Residual bound: 1e-10 * max(1, |z|). Past
+    float_info.max / 8 in |z| (about 2.2e307) the root solves w + log w =
+    log z instead, with 1e-13 * max(1, |log z|) bounding |w + log w - log z|.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -194,23 +205,17 @@ def w0_complex(z: complex) -> WResult:
     flip = z.imag < 0.0
     if flip:
         z = z.conjugate()
-    w = _initial_complex(z)
-    iterations = _MAX_ITER
-    for it in range(1, _MAX_ITER + 1):
-        ew = cmath.exp(w)
-        f = w * ew - z
-        if f == 0:
-            iterations = it
-            break
-        wp1 = w + 1.0
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= step
-        if abs(step) <= 1e-16 * (2.0 + abs(w)):
-            iterations = it
-            break
-    residual = abs(w * cmath.exp(w) - z)
+    if math.hypot(z.real, z.imag) > _HALLEY_MAX:  # abs(z) itself may overflow
+        log_z = cmath.log(z)
+        w, iterations = _newton_log(log_z, log_z - cmath.log(log_z), cmath.log)
+        residual = abs(w + cmath.log(w) - log_z)
+        bound = _LOG_RESIDUAL * max(1.0, abs(log_z))
+    else:
+        w, iterations = _halley(z, _initial_complex(z), cmath.exp)
+        residual = abs(w * cmath.exp(w) - z)
+        bound = _COMPLEX_RESIDUAL * max(1.0, abs(z))
     # a wrong-branch root passes the residual test, so range-check too
-    if residual > _COMPLEX_RESIDUAL * max(1.0, abs(z)) or not _principal_range_ok(w):
+    if not residual <= bound or not _principal_range_ok(w):
         raise ConvergenceError(
             f"w0_complex({z!r}) stalled at w={w!r} with residual {residual:.3e}"
         )

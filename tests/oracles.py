@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from legfam import bounds
-from legfam.gf import _mul, _pow
+from legfam.gf import _mul, _pows
 
 
 def w_bisect(x: float) -> float:
@@ -382,7 +382,7 @@ def norm_by_powers(field, a):
     matrix."""
     out = conj = a
     for _ in range(field.k - 1):
-        conj = _pow(field, conj, field.p)
+        conj = _pows(field, conj, [field.p])[0]
         out = _mul(field, out, conj)
     assert not out[:, 1:].any()
     return out[:, 0]

@@ -52,6 +52,17 @@ def test_w_complex(capsys):
     assert abs(value - complex(-0.847209710207865, 0.666789641075179)) < 1e-9
 
 
+def test_w_complex_past_the_halley_range(capsys):
+    # |z| past 2.2e307 (past float_info.max for the first) is solved in the
+    # log domain; mpmath.lambertw rounds to the same 15 digits
+    for arg, want in (
+        ("1.7e308,1.7e308", "703.517317369844 + 0.784283360653591i"),
+        ("1e308,1e308", "702.987442581082 + 0.784282521568483i"),
+        ("-1e308,1e308", "702.987437609554 + 2.35284757577469i"),
+    ):
+        assert run_cli(capsys, "w", f"--complex={arg}") == (0, want + "\n", ""), arg
+
+
 def test_w_complex_help_names_the_form_for_a_negative_real_part(capsys):
     # argparse reads "-1,0", and a negative number with an exponent, after a
     # space as a flag, so the help gives the one form that takes each
@@ -456,6 +467,40 @@ def test_bench_produces_rows_with_timings(capsys):
     for line in lines[1:]:
         fields = line.split(",")
         assert int(fields[7]) > 0 and int(fields[8]) > 0
+
+
+def test_bench_prints_the_warm_up_row_with_median_timings(capsys, monkeypatch):
+    # a scripted make_report: per cell one warm-up row, then --reps rows
+    # whose timings are the only thing bench keeps of them
+    calls = []
+
+    def scripted(p, k):
+        calls.append((p, k))
+        i = sum(c == (p, k) for c in calls) - 1  # 0 is the warm-up call
+        return BoundReport(p, k, 1.0, 2.0, 3.0 + i, 4, 5.0, 0.5, 6.0,
+                           [50, 30, 10, 20, 40, 70][i] * p, [9, 1, 8, 2, 7, 3][i])
+
+    monkeypatch.setattr(cli, "make_report", scripted)
+    code, out, _ = run_cli(capsys, "bench", "--p", "3", "--k-min", "1", "--k-max", "2", "--reps", "5")
+    assert code == 0
+    assert calls == [(3, 1)] * 6 + [(3, 2)] * 6
+    # medians of 30, 10, 20, 40, 70 (times p) and 1, 8, 2, 7, 3; the other
+    # columns are the warm-up row's (new_bound 3.0, not a later 3.0 + i)
+    assert out.splitlines()[1:] == [f"3,{k},3,4,5,0.5,6,90,3" for k in (1, 2)]
+
+
+def test_bench_refuses_reps_past_the_budget_before_any_row(capsys, monkeypatch):
+    def refuse(p, k):
+        raise AssertionError("a row was evaluated before the budget gate")
+
+    monkeypatch.setattr(cli, "make_report", refuse)
+    code, out, err = run_cli(capsys, "bench", "--p", "7", "--k-min", "1", "--k-max", "3",
+                             "--reps", "349527")
+    assert (code, out) == (3, "")
+    assert err == "error: --reps 349527 over 3 cells needs 1048581 rows, budget is 1048576\n"
+    code, out, err = run_cli(capsys, "bench", "--k", "1", "--p-max", "10", "--reps", "100000001")
+    assert (code, out) == (3, "")
+    assert err == "error: --reps 100000001 over 3 cells needs 300000003 rows, budget is 1048576\n"
 
 
 @pytest.mark.parametrize(

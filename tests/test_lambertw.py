@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from legfam import bounds
+from legfam import bounds, lambertw
 from legfam.lambertw import ConvergenceError, w0_complex, w0_from_log, w0_real
 from legfam.ntheory import primes_up_to
 from oracles import w_bisect, w_from_log_bisect
@@ -216,6 +216,46 @@ def test_w_complex_identity_property(re, im):
         return
     w = w0_complex(z).value
     assert abs(w * cmath.exp(w) - z) <= 1e-10 * max(1.0, abs(z))
+
+
+# |z| past float_info.max / 8 (about 2.2e307), where w0_complex solves in the
+# log domain; -0.0 and the two tiny imaginary parts sit on or at the cut
+HUGE_COMPLEX = (
+    complex(1.7e308, 1.7e308), complex(1e308, 1e308), complex(-1e308, 1e308),
+    complex(-1.7e308, 1e-300), complex(-1.7e308, -1e-300), complex(-1.7e308, -0.0),
+    complex(1e308, 0.0), complex(0.0, -1e308), complex(2.3e307, 1.0),
+    complex(sys.float_info.max, sys.float_info.max),
+)
+
+
+def test_w_complex_matches_mpmath_past_the_halley_range():
+    # w + log w = log z, residual relative to max(1, |log z|); |z| itself
+    # overflows a float for the first and the last argument
+    mpmath.mp.prec = 80
+    for z in HUGE_COMPLEX:
+        res = w0_complex(z)
+        want = complex(mpmath.lambertw(mpmath.mpc(z)))
+        assert abs(res.value - want) <= 1e-15 * abs(want), z
+        log_z = cmath.log(z.conjugate() if z.imag < 0 else z)
+        assert res.residual <= 1e-13 * abs(log_z), z
+        assert res.iterations < 10, z
+    # the real axis: the same root as w0_real's own log-domain route
+    for x in (1e308, sys.float_info.max):
+        assert w0_complex(complex(x, 0.0)).value.real == pytest.approx(w0_real(x).value, rel=1e-15)
+
+
+def test_w_iterate_thrown_past_709_is_a_convergence_error(monkeypatch):
+    # from these starts a Halley step overshoots past w = 709; the clamp
+    # keeps exp(w) from raising OverflowError, and the residual gate refuses
+    # the NaN the loop then ends on
+    monkeypatch.setattr(lambertw, "_initial_real", lambda x: -1.0030366436144085)
+    with pytest.raises(ConvergenceError):
+        w0_real(7.76952795189414e67)
+    monkeypatch.setattr(
+        lambertw, "_initial_complex", lambda z: complex(-1.0275475669247496, -1.8670355771485107e-12)
+    )
+    with pytest.raises(ConvergenceError):
+        w0_complex(complex(3.378006661472282e161, 2.3883313150098714e161))
 
 
 def test_w_complex_domain_errors():
